@@ -34,10 +34,13 @@ the warm-pool parallel sweep must beat serial by the core-aware floor from
 :func:`sweep_scaling_floor` — 1.5x on a >=4-core runner, proportionally
 less on narrower machines, and "within 15% of serial" on a single core,
 where real speedup is physically impossible but pool overhead is not.
-``simulate_throughput``: the slotted fast path must beat the closure
-reference by >= 1.3x (always), and the compiled extension by >= 2x when
-the report was produced by a compiled build.  Both print the usable core
-count so a gate trip on a throttled runner is explicable from the log.
+``simulate_throughput.events_per_kernel``: simulation events per
+second, scaled by the seconds the fixed reference kernel of
+``perfbench/reference.py`` takes on the same host, must stay >= 1.3x the
+value the baseline records for the closure-based reference executive
+(measured over ABBA-paired runs before that executive was deleted).
+Both print the usable core count so a gate trip on a throttled runner is
+explicable from the log.
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ SUITES: dict[str, tuple[tuple[str, str], ...]] = {
         ("granule_algebra", "or_ranges_per_second"),
         ("event_queue", "events_per_second"),
         ("simulate_throughput", "events_per_second"),
-        ("simulate_throughput", "events_per_second_pure"),
     ),
     "faults": (
         ("enablement_notify", "granules_per_second"),
@@ -123,56 +125,40 @@ def check_sweep_scaling(current: dict, baseline: dict) -> list[str]:
     return []
 
 
-#: absolute floors for the simulation fast path (ISSUE 10 acceptance):
-#: the restructured pure-python dispatch layer must beat the closure
-#: reference by >= 1.3x, the compiled extension by >= 2x.  Both ratios
-#: divide two runs from the same process, so no core-count scaling is
-#: needed — a slow runner slows numerator and denominator alike.
-FASTPATH_SPEEDUP_FLOOR = 1.3
-COMPILED_SPEEDUP_FLOOR = 2.0
+#: ``events_per_kernel`` must beat the closure-based reference executive's
+#: recorded value by this factor.  Both sides are normalized by the same
+#: reference kernel, so no core-count scaling is needed.
+SIMULATE_SPEEDUP_FLOOR = 1.3
+
+
+def simulate_throughput_floor(baseline: dict) -> float:
+    """Minimum acceptable ``simulate_throughput.events_per_kernel``."""
+    reference = baseline["simulate_throughput"]["reference_events_per_kernel"]
+    return SIMULATE_SPEEDUP_FLOOR * float(reference["median"])
 
 
 def check_simulate_throughput(current: dict, baseline: dict) -> list[str]:
-    """Absolute-floor gates on the simulation fast-path speedups."""
+    """Absolute-floor gate on kernel-normalized simulation throughput."""
     bench = current.get("simulate_throughput")
     if bench is None:
         return ["simulate_throughput: missing from current report"]
+    if "events_per_kernel" not in bench:
+        return ["simulate_throughput.events_per_kernel: missing from report"]
     cores = os.cpu_count() or 1
-    base_path = (baseline.get("simulate_throughput") or {}).get("sim_path", "?")
-    failures: list[str] = []
-
-    gates = [("fastpath_speedup", FASTPATH_SPEEDUP_FLOOR, True)]
-    # the compiled gate applies only when this run actually compiled
-    gates.append(
-        ("compiled_speedup", COMPILED_SPEEDUP_FLOOR, bench.get("sim_path") == "compiled")
+    floor = simulate_throughput_floor(baseline)
+    value = float(bench["events_per_kernel"])
+    status = "FAIL" if value < floor else "ok"
+    print(
+        f"[{status:>4}] core:simulate_throughput.events_per_kernel: "
+        f"current={value:,.0f} floor={floor:,.0f} "
+        f"({SIMULATE_SPEEDUP_FLOOR}x the closure reference; available_cores={cores})"
     )
-    for metric, floor, required in gates:
-        value = bench.get(metric)
-        if not required:
-            if value is None:
-                print(
-                    f"[skip] core:simulate_throughput.{metric}: extension not "
-                    f"built (sim_path={bench.get('sim_path')!r}, baseline "
-                    f"sim_path={base_path!r}, available_cores={cores})"
-                )
-            continue
-        if value is None:
-            failures.append(f"simulate_throughput.{metric}: missing from report")
-            continue
-        value = float(value)
-        status = "FAIL" if value < floor else "ok"
-        print(
-            f"[{status:>4}] core:simulate_throughput.{metric}: "
-            f"current={value:.2f} floor={floor:.2f} "
-            f"(absolute gate, same-process ratio; available_cores={cores}, "
-            f"sim_path={bench.get('sim_path')!r})"
-        )
-        if value < floor:
-            failures.append(
-                f"simulate_throughput.{metric} {value:.2f} below the "
-                f"{floor:.2f} floor (available_cores={cores})"
-            )
-    return failures
+    if value < floor:
+        return [
+            f"simulate_throughput.events_per_kernel {value:,.0f} below the "
+            f"{floor:,.0f} floor (available_cores={cores})"
+        ]
+    return []
 
 
 def infer_suite(current_path: Path) -> str:

@@ -1,6 +1,6 @@
-"""Core fast-path microbenchmarks — the repo's perf trajectory anchor.
+"""Core microbenchmarks — the repo's perf trajectory anchor.
 
-Measures the four hot paths this PR optimized and emits ``BENCH_core.json``
+Measures the simulator's hot paths and emits ``BENCH_core.json``
 so CI can hold the line (see ``benchmarks/check_bench_regression.py`` and
 docs/PERFORMANCE.md):
 
@@ -18,22 +18,23 @@ docs/PERFORMANCE.md):
   runner cannot exhibit real speedup; normalizing keeps the metric
   meaningful everywhere);
 * ``simulate_throughput`` — end-to-end events/s of one full simulation on
-  a dispatch-heavy configuration, pure reference (``fastpath=False``) vs
-  the slotted dispatch layer (``fastpath=True``) vs the compiled
-  extension when built.  ``fastpath_speedup`` compares two runs on the
-  same interpreter in the same process, so it is noise-normalized;
-  ``check_bench_regression.py`` holds it above an absolute 1.3x floor
-  (2x for ``compiled_speedup`` when the extension is present).
+  a dispatch-heavy configuration, interleaved with the fixed reference
+  kernel of ``perfbench/reference.py``.  ``events_per_kernel`` (events
+  per second × kernel seconds) is host-speed-normalized;
+  ``check_bench_regression.py`` holds it at >= 1.3x the closure-based
+  reference executive's value recorded in the baseline.
 
 ``BENCH_QUICK=1`` shrinks problem sizes for CI. Run directly
-(``python benchmarks/test_core_fastpath.py``) or via pytest; either path
+(``python benchmarks/test_core_bench.py``) or via pytest; either path
 writes ``BENCH_core.json`` to the working directory.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -233,108 +234,68 @@ def bench_sweep_scaling() -> dict:
 
 
 # ------------------------------------------------------------------ simulation
+def _reference_kernel():
+    """The benchmark's fixed host-speed kernel, ``perfbench/reference.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def bench_simulate_throughput() -> dict:
-    """End-to-end simulation events/s, pure vs fastpath (vs compiled).
+    """End-to-end simulation events/s, normalized by a reference kernel.
 
     Dispatch-heavy configuration: many small tasks on a mid-size machine,
     so per-event executive dispatch — not granule algebra — dominates.
-    The reps are interleaved ABBA-style and each path's timing is its
-    min-of-N: noise on a shared host is strictly additive, so the minimum
-    approaches each path's true cost, and interleaving gives every path a
-    shot at the same quiet windows — a back-to-back block design would
-    let a load spike land entirely inside one path's window.  The gated
-    speedup is the ratio of those minima; the per-rep paired median is
-    reported alongside as a diagnostic (it cancels slow frequency drift
-    but compresses toward 1 under additive load, so it is not the gate).
-    The description-id counter is reset per run so all paths emit
-    byte-identical traces (asserted below — a fast path that drifts is a
-    bug, not a speedup).
+    Each timed run is paired with one run of the reference kernel, in
+    ABBA order (kernel then simulation, then simulation then kernel), so
+    both halves of a pair see the same host speed.  A pair's
+    ``events / run seconds × kernel seconds`` is the throughput a host
+    that runs the kernel in one second would show; the gated
+    ``events_per_kernel`` is the median over pairs.  The baseline records
+    the same statistic for the closure-based reference executive, measured
+    before it was deleted.
     """
-    import itertools as _it
-
-    from repro import _speed
-    from repro.executive import descriptions as _descriptions
     from repro.executive.scheduler import run_program
     from repro.executive.splitting import TaskSizer
-    from repro.sim.persist import trace_to_dict
-    from repro.sweep.runner import build_workload, result_summary
+    from repro.sweep.runner import build_workload
 
+    reference = _reference_kernel()
     workers, tpp, n = 32, 32.0, 4096
-    # odd rep counts keep the median a real middle observation; 2 reps
-    # would degenerate the "median" into the max
-    reps = 3 if QUICK else 7
+    # odd pair counts keep the median a real middle observation
+    pairs = 11 if QUICK else 21
     program = build_workload("identity", {"n": n})
 
-    def run_once(fastpath, compiled):
-        _descriptions._description_ids = _it.count(1)
+    def run_once():
         return run_program(
-            program,
-            workers,
-            seed=3,
-            fastpath=fastpath,
-            compiled=compiled,
-            sizer=TaskSizer(tasks_per_processor=tpp),
+            program, workers, seed=3, sizer=TaskSizer(tasks_per_processor=tpp)
         )
 
-    def canon(result):
-        return (
-            json.dumps(result_summary(result), sort_keys=True, default=str),
-            json.dumps(trace_to_dict(result.trace), sort_keys=True, default=str),
-        )
-
-    #: (fastpath, compiled) per measured path; compiled rides along when built
-    paths = [(False, False), (True, False)]
-    if _speed.compiled_available():
-        paths.append((True, True))
-
-    best = {p: float("inf") for p in paths}
-    times = {p: [] for p in paths}
-    results = {}
-    for p in paths:  # untimed warmup, also yields the identity check results
-        results[p] = run_once(*p)
-    for rep in range(reps):
-        order = paths if rep % 2 == 0 else paths[::-1]
-        for p in order:
-            t0 = time.perf_counter()
-            run_once(*p)
-            dt = time.perf_counter() - t0
-            times[p].append(dt)
-            best[p] = min(best[p], dt)
-
-    def paired_speedup(path):
-        ratios = sorted(
-            tp / tf for tp, tf in zip(times[(False, False)], times[path])
-        )
-        return ratios[len(ratios) // 2]
-
-    r_pure = results[(False, False)]
-    t_pure, t_fast = best[(False, False)], best[(True, False)]
-    assert canon(r_pure) == canon(results[(True, False)]), (
-        "fastpath diverged from reference"
-    )
-    events = len(r_pure.trace.records)
-
-    out = {
+    events = len(run_once().trace.records)  # untimed warmup
+    reference.kernel_seconds()
+    run_seconds, per_kernel = [], []
+    for k in range(pairs):
+        if k % 2 == 0:
+            kernel = reference.kernel_seconds()
+            elapsed = _time(run_once)
+        else:
+            elapsed = _time(run_once)
+            kernel = reference.kernel_seconds()
+        run_seconds.append(elapsed)
+        per_kernel.append(events / elapsed * kernel)
+    q1, median, q3 = statistics.quantiles(per_kernel, n=4)
+    return {
         "workers": workers,
         "tasks_per_processor": tpp,
         "n_granules": n,
         "events": events,
-        "sim_path": results[paths[-1]].sim_path,
-        "events_per_second": events / t_fast,
-        "events_per_second_pure": events / t_pure,
-        "fastpath_speedup": t_pure / t_fast,
-        "fastpath_speedup_paired": paired_speedup((True, False)),
+        "pairs": pairs,
+        "events_per_second": events / min(run_seconds),
+        "events_per_kernel": median,
+        "events_per_kernel_q1": q1,
+        "events_per_kernel_q3": q3,
     }
-    if (True, True) in best:
-        t_comp = best[(True, True)]
-        assert canon(r_pure) == canon(results[(True, True)]), (
-            "compiled diverged from reference"
-        )
-        out["events_per_second"] = events / t_comp
-        out["events_per_second_fastpath"] = events / t_fast
-        out["compiled_speedup"] = t_pure / t_comp
-        out["compiled_speedup_paired"] = paired_speedup((True, True))
-    return out
 
 
 # ------------------------------------------------------------------ driver
@@ -360,7 +321,9 @@ def write_report(results: dict, path: str | Path = "BENCH_core.json") -> None:
 
 
 # pytest entry point — also emits the report so `pytest benchmarks/` covers CI
-def test_core_fastpath():
+def test_core_bench():
+    from benchmarks.check_bench_regression import simulate_throughput_floor
+
     results = run_all()
     write_report(results)
     assert results["enablement_notify"]["speedup_vs_scan"] >= 5.0
@@ -372,10 +335,12 @@ def test_core_fastpath():
     # a reused warm pool has no spawn/import cost left to attribute
     assert results["sweep_scaling"]["warmup_seconds_on_reused_pool"] < 0.1
     assert results["sweep_scaling"]["effective_workers"] >= 1.0
+    baseline = json.loads(
+        (Path(__file__).parent / "BENCH_core.baseline.json").read_text(encoding="utf-8")
+    )
     sim = results["simulate_throughput"]
-    assert sim["fastpath_speedup"] >= 1.3, sim
-    if "compiled_speedup" in sim:
-        assert sim["compiled_speedup"] >= 2.0, sim
+    floor = simulate_throughput_floor(baseline)
+    assert sim["events_per_kernel"] >= floor, (sim, floor)
     print(json.dumps(results, indent=2, sort_keys=True))
 
 

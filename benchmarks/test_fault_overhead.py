@@ -58,7 +58,7 @@ N_WORKERS = 8
 BATCH = 5 if QUICK else 10
 ROUNDS = 4 if QUICK else 6
 TRIALS = 3
-#: Wall-clock gate: armed-empty over fastpath, median-of-trials.
+#: Wall-clock gate: armed-empty over fault-free, median-of-trials.
 MAX_OVERHEAD = 0.05
 #: Deterministic gate: extra simulator events the armed machinery may add.
 MAX_EVENT_OVERHEAD = 0.15
@@ -105,7 +105,7 @@ def _paired_ratio_trial() -> float:
     return statistics.median(arms) / statistics.median(offs)
 
 
-def bench_scheduler_fastpath() -> dict:
+def bench_scheduler_fault_free() -> dict:
     """Armed-empty fault plan vs ``faults=None`` on the same workload."""
     sim_off, r_off = _run(None)
     sim_armed, r_armed = _run(FaultPlan())
@@ -121,7 +121,7 @@ def bench_scheduler_fastpath() -> dict:
         "batch": BATCH,
         "rounds": ROUNDS,
         "trials": ratios,
-        "events_fastpath": events_off,
+        "events_fault_free": events_off,
         "events_armed_empty": events_armed,
         "event_overhead_fraction": events_armed / events_off - 1.0,
         "overhead_fraction": statistics.median(ratios) - 1.0,
@@ -192,7 +192,7 @@ def bench_supervision_overhead() -> dict:
 def run_all() -> dict:
     return {
         "quick": QUICK,
-        "scheduler_fastpath": bench_scheduler_fastpath(),
+        "scheduler_fault_free": bench_scheduler_fault_free(),
         "enablement_notify": bench_enablement_notify(),
         "supervision": bench_supervision_overhead(),
     }
@@ -205,7 +205,7 @@ def write_report(results: dict, path: str | Path = "BENCH_faults.json") -> None:
 def test_fault_overhead():
     results = run_all()
     write_report(results)
-    fast = results["scheduler_fastpath"]
+    fast = results["scheduler_fault_free"]
     assert fast["event_overhead_fraction"] < MAX_EVENT_OVERHEAD
     assert fast["overhead_fraction"] < MAX_OVERHEAD
     # replay guard stays inside the repo-wide 2x regression gate

@@ -1,87 +1,5 @@
-"""Build script; optionally compiles the simulation inner loops.
-
-A plain ``pip install .`` builds a pure-python package.  Setting
-``REPRO_BUILD_COMPILED=1`` additionally generates the ``repro._compiled``
-bundle — byte-identical copies of the three inner-loop modules
-(``repro/sim/engine.py``, ``repro/sim/machine.py``,
-``repro/executive/hotloop.py``) with intra-bundle imports rewritten —
-and compiles it with **mypyc**, falling back to **Cython** in pure-python
-mode, falling back to skipping compilation entirely when neither is
-installed.  The runtime loader (:mod:`repro._speed`) only accepts real
-extension modules, so a skipped or failed build degrades silently to the
-pure-python fast path.  See docs/PERFORMANCE.md, "Compiled inner loops".
-"""
-
-from __future__ import annotations
-
-import os
-import re
-import sys
-from pathlib import Path
+"""Build script; all metadata lives in setup.cfg."""
 
 from setuptools import setup
 
-HERE = Path(__file__).resolve().parent
-SRC = HERE / "src" / "repro"
-
-#: (source path relative to src/repro, bundle module name)
-COMPILED_SOURCES = (
-    ("sim/engine.py", "engine"),
-    ("sim/machine.py", "machine"),
-    ("executive/hotloop.py", "hotloop"),
-)
-
-#: imports of bundled modules are rewritten to stay inside the bundle, so
-#: e.g. the compiled machine uses the compiled engine's Simulator/Event.
-_BUNDLE_IMPORT = re.compile(
-    r"^(\s*)from repro\.(?:sim\.(engine|machine)|executive\.(hotloop)) import",
-    re.MULTILINE,
-)
-
-
-def _rewrite(text: str) -> str:
-    def sub(m: "re.Match[str]") -> str:
-        name = m.group(2) or m.group(3)
-        return f"{m.group(1)}from repro._compiled.{name} import"
-
-    return _BUNDLE_IMPORT.sub(sub, text)
-
-
-def _generate_bundle() -> list[str]:
-    out_dir = SRC / "_compiled"
-    paths = []
-    for rel, name in COMPILED_SOURCES:
-        dest = out_dir / f"{name}.py"
-        dest.write_text(_rewrite((SRC / rel).read_text(encoding="utf-8")), encoding="utf-8")
-        paths.append(str(dest))
-    return paths
-
-
-def _ext_modules():
-    if os.environ.get("REPRO_BUILD_COMPILED", "0") != "1":
-        return []
-    paths = _generate_bundle()
-    try:
-        from mypyc.build import mypycify
-
-        return mypycify(paths)
-    except Exception as exc:  # mypyc missing or refused the sources
-        print(f"setup.py: mypyc unavailable ({exc}); trying Cython", file=sys.stderr)
-    try:
-        from Cython.Build import cythonize
-
-        return cythonize(paths, language_level=3)
-    except Exception as exc:
-        print(
-            f"setup.py: Cython unavailable ({exc}); building pure-python only "
-            "(repro._speed will fall back at runtime)",
-            file=sys.stderr,
-        )
-        # leave no stray sources behind: the loader rejects .py copies,
-        # but a clean tree avoids confusing editable installs
-        for rel, name in COMPILED_SOURCES:
-            (SRC / "_compiled" / f"{name}.py").unlink(missing_ok=True)
-        return []
-
-
-setup(ext_modules=_ext_modules())
+setup()

@@ -24,6 +24,7 @@ from repro.executive.queues import ConflictQueue
 
 __all__ = ["DescriptionState", "ComputationDescription"]
 
+#: Id sequence for descriptions made outside a simulation (tests, tools).
 _description_ids = itertools.count(1)
 
 
@@ -57,6 +58,11 @@ class ComputationDescription:
         Whether the description was placed in the waiting queue with
         elevated priority (the control strategy for enabling granules of
         indirect mappings).
+    ids:
+        The id sequence to draw from.  Each executive simulation passes its
+        own, numbered from 1, so a run's ids — which appear in its trace
+        labels — depend only on the run's inputs.  Split-off descriptions
+        draw from their parent's sequence.
     """
 
     __slots__ = (
@@ -70,6 +76,7 @@ class ComputationDescription:
         "splits",
         "merges",
         "attempts",
+        "_ids",
     )
 
     def __init__(
@@ -78,10 +85,12 @@ class ComputationDescription:
         phase_name: str,
         granules: GranuleSet,
         elevated: bool = False,
+        ids: Iterator[int] | None = None,
     ) -> None:
         if not granules:
             raise ValueError("a computation description must describe at least one granule")
-        self.id = next(_description_ids)
+        self._ids = _description_ids if ids is None else ids
+        self.id = next(self._ids)
         self.phase_run = phase_run
         self.phase_name = phase_name
         self.granules = granules
@@ -115,7 +124,9 @@ class ComputationDescription:
         head, rest = self.granules.take(n)
         self.granules = rest
         self.splits += 1
-        child = ComputationDescription(self.phase_run, self.phase_name, head, elevated=self.elevated)
+        child = ComputationDescription(
+            self.phase_run, self.phase_name, head, elevated=self.elevated, ids=self._ids
+        )
         # a retried description that gets re-split must not reset its
         # failure count, or max_retries could be evaded by splitting
         child.attempts = self.attempts

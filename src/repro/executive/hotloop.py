@@ -1,33 +1,25 @@
-"""The executive's restructured inner loop (fast path).
+"""The executive's inner loop: slotted job records instead of closures.
 
-:mod:`repro.executive.scheduler` keeps the paper-shaped reference
-implementation: every management action allocates nested ``duration()`` /
-``done()`` closures that re-derive the phase run, task size, cost model,
-RNG stream and label strings on each call.  That shape reads well but
-dominates the per-event cost of a run.  This module is the same executive
-logic flattened for speed and compilability:
+The paper's executive is one serial loop — assign a task, process its
+completion, release the conflict queue.  Every management action is a
+precomputed **slotted job record** (:class:`_AssignJob`,
+:class:`_CompletionJob`, :class:`_PresplitJob`,
+:class:`_SuccessorSplitJob`, :class:`_OverlapInitJob`) implementing the
+:meth:`~repro.sim.machine.Machine.submit_job` interface —
+``resolve_duration()`` / ``on_done`` / ``label`` / ``category`` /
+``noop`` — so the machine dispatches bound methods instead of closure
+cells.  Around them:
 
 * one :class:`_RunCache` per phase run precomputes everything that is
   constant for the run's lifetime — task size, cost-model dispatch kind,
   the memoized cost RNG stream, the task/completion/presplit label
   prefixes, the successor run and the identity-like overlap verdict;
-* each management action is a precomputed **slotted job record**
-  (:class:`_AssignJob`, :class:`_CompletionJob`, :class:`_PresplitJob`,
-  :class:`_SuccessorSplitJob`, :class:`_OverlapInitJob`) implementing the
-  :meth:`~repro.sim.machine.Machine.submit_job` interface —
-  ``resolve_duration()`` / ``on_done`` / ``label`` / ``category`` /
-  ``noop`` — so the machine dispatches bound methods instead of closure
-  cells; the :data:`JOB_KINDS` table enumerates them;
 * the data-proximity scan walks the waiting queue's rings directly
   (:meth:`WaitingComputationQueue.first_in_window`) instead of driving
   generator frames through ``__iter__``.
 
-Behavior is **byte-identical** to the reference: both paths issue the
-same management jobs in the same order with the same float arithmetic,
-draw from the same memoized RNG streams, and write the same trace and
-telemetry records (pinned by ``tests/test_fastpath_differential.py``).
-This module is one of the three compiled by the optional extension
-(docs/PERFORMANCE.md, "Compiled inner loops").
+Canonical run reports and traces are pinned by golden fixtures
+(``tests/data/executive_golden.json``).
 """
 
 from __future__ import annotations
@@ -52,7 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.executive.scheduler import ExecutiveSimulation, _RunState
     from repro.sim.machine import Processor
 
-__all__ = ["HotLoop", "JOB_KINDS"]
+__all__ = ["HotLoop"]
 
 # cost-model dispatch kinds resolved once per run (see _RunCache.task_duration)
 _COST_CONSTANT = 0
@@ -63,7 +55,7 @@ _IDENTITY_LIKE = (MappingKind.IDENTITY, MappingKind.SEAM)
 
 
 class _RunCache:
-    """Per-phase-run constants the reference path re-derives per event."""
+    """Per-phase-run constants, resolved once instead of per event."""
 
     __slots__ = (
         "run",
@@ -102,9 +94,7 @@ class _RunCache:
                 self.cost_sampler = sample_total
             else:
                 self.cost_kind = _COST_PER_GRANULE
-        # RngStreams.get memoizes by name, so grabbing the stream eagerly
-        # yields the very generator object the reference path resolves
-        # lazily — identical draw sequences either way.
+        # RngStreams.get memoizes by name: this is the run's one cost stream
         self.rng = ex._rng(f"cost:{run.gid}")
         succ_index = run.index + 1
         self.succ = (
@@ -118,8 +108,10 @@ class _RunCache:
         self.identity_like: bool | None = None
 
     def identity_like_overlap(self) -> bool:
-        """Memoized ``_identity_like_overlap``: the engine's mapping kind
-        never changes once the overlap-init job installs it."""
+        """Does the run's overlap link need successor-description splits?
+
+        Memoized: the engine's mapping kind never changes once the
+        overlap-init job installs it."""
         verdict = self.identity_like
         if verdict is not None:
             return verdict
@@ -131,7 +123,7 @@ class _RunCache:
         return verdict
 
     def task_duration(self, granules: "GranuleSet") -> float:
-        """``_task_duration`` with the isinstance/getattr dispatch hoisted."""
+        """Total execution time of a chunk of the run's granules."""
         kind = self.cost_kind
         if kind == _COST_CONSTANT:
             return self.cost_value * len(granules)
@@ -145,10 +137,9 @@ class _RunCache:
 class _AssignJob:
     """One executive assignment: pick, maybe split, and start a task.
 
-    Replaces ``_request_work``'s ``chosen`` dict plus ``duration`` /
-    ``done`` closure pair; the selected description lives in the ``desc``
-    slot, and ``noop`` reports the queue-drained case so the machine
-    skips the phantom zero-length span (see ISSUE 10 satellite fix).
+    The selected description lives in the ``desc`` slot, and ``noop``
+    reports the queue-drained case so the machine skips the phantom
+    zero-length span.
     """
 
     __slots__ = ("hl", "proc", "desc", "label")
@@ -220,7 +211,7 @@ class _AssignJob:
             hl.queue.push_front(desc, elevated=desc.elevated)
             return
         ex._in_flight[proc.index] = desc
-        # --- _note_assignment, inlined -------------------------------
+        # --- ExecutiveSimulation._note_assignment, inlined -------------
         now = ex.sim._now
         desc.state = DescriptionState.RUNNING
         granules = desc.granules
@@ -253,7 +244,7 @@ class _AssignJob:
 
 
 class _TaskDone:
-    """Per-task completion callback (replaces the per-task lambda)."""
+    """Per-task completion callback."""
 
     __slots__ = ("hl", "desc")
 
@@ -308,9 +299,12 @@ class _CompletionJob:
         self.label = cache.complete_label
 
     def resolve_duration(self) -> float:
-        # Pricing only — state changes happen atomically in on_done() (see
-        # the reference implementation for the middle-management race
-        # this avoids).
+        # Pricing only — completion processing's state changes happen
+        # atomically in on_done().  With a middle-management pool,
+        # completion jobs on different servers can *finish* out of order;
+        # mutating here would open a window between computing the enabled
+        # successor set and queueing it, during which another server could
+        # advance the frontier and queue the same granules again.
         hl = self.hl
         cache = self.cache
         run = cache.run
@@ -344,8 +338,7 @@ class _CompletionJob:
                 newly = newly | run.engine_to_next.complete_all()
             fresh = (newly - succ.queued) - succ.assigned
             if fresh:
-                child = ComputationDescription(succ.gid, succ.spec.name, fresh)
-                desc.queue_conflicting(child)
+                desc.queue_conflicting(ex._describe(succ, fresh))
         for child in desc.release_conflicts():
             child.state = DescriptionState.WAITING
             child_succ = ex.runs[child.phase_run]
@@ -365,7 +358,7 @@ class _CompletionJob:
 
 
 class _PresplitJob:
-    """One background pre-split chunk (``_schedule_presplits``)."""
+    """One background pre-split chunk (see :meth:`HotLoop.schedule_presplits`)."""
 
     __slots__ = ("run", "chunk_index", "cost", "label")
 
@@ -393,7 +386,7 @@ class _PresplitJob:
 
 
 class _SuccessorSplitJob:
-    """One deferred successor-splitting task (``_schedule_successor_split``)."""
+    """One deferred successor-splitting task (:meth:`HotLoop.schedule_successor_split`)."""
 
     __slots__ = ("run", "desc_id", "cost", "label")
 
@@ -419,9 +412,8 @@ class _OverlapInitJob:
     """Overlapped successor initiation (``_maybe_overlap_next``).
 
     Cold (once per adjacent phase pair), so the heavy lifting stays in
-    the scheduler's shared ``_overlap_init_duration`` /
-    ``_overlap_init_done`` methods; the record only replaces the closure
-    pair and its captured cells.
+    the scheduler's ``_overlap_init_duration`` / ``_overlap_init_done``
+    methods.
     """
 
     __slots__ = ("ex", "run", "succ", "mapping", "serial_barrier", "new_descs", "label")
@@ -447,26 +439,13 @@ class _OverlapInitJob:
         )
 
 
-#: Dispatch table of slotted job-record kinds the fast path submits in
-#: place of the reference path's closure pairs.
-JOB_KINDS: dict[str, type] = {
-    "assign": _AssignJob,
-    "completion": _CompletionJob,
-    "presplit": _PresplitJob,
-    "successor_split": _SuccessorSplitJob,
-    "overlap_init": _OverlapInitJob,
-    "task_done": _TaskDone,
-}
-
-
 class HotLoop:
-    """Fast-path executive bound to one :class:`ExecutiveSimulation`.
+    """The executive inner loop bound to one :class:`ExecutiveSimulation`.
 
     Construction precomputes per-run caches, per-processor assignment
     labels and flat copies of the cost/extension constants; the scheduler
-    then routes ``_request_work`` / task completion / presplit /
-    successor-split / overlap-init submissions through the job records
-    above instead of allocating closures.
+    routes work requests, task completion, presplit, successor-split and
+    overlap-init submissions through the job records above.
     """
 
     __slots__ = (
@@ -517,7 +496,13 @@ class HotLoop:
 
     # ------------------------------------------------------------- dispatch
     def select_desc(self, proc: "Processor") -> ComputationDescription:
-        """``_select_desc`` without generator frames (ring-direct scan)."""
+        """The description the assignment serves next.
+
+        Default: the head of the waiting queue ("kept in a known order").
+        With the data-proximity extension, the executive first scans a few
+        queue entries for the chunk that continues the granule range the
+        worker just computed.
+        """
         queue = self.queue
         if not self.data_proximity:
             return queue.peek_head()
@@ -528,7 +513,7 @@ class HotLoop:
         return queue.first_in_window(start, stop, self.proximity_scan)
 
     def request_work(self, proc: "Processor") -> None:
-        """``_request_work`` submitting a slotted :class:`_AssignJob`."""
+        """Submit an assignment for an idle worker (the machine's idle hook)."""
         ex = self.ex
         pending = ex._assign_pending
         if proc.index in pending:
@@ -540,19 +525,17 @@ class HotLoop:
         self.machine.submit_job(_AssignJob(self, proc))
 
     def dispatch_idle(self) -> None:
-        """``_dispatch_idle`` with the idle snapshot taken ring-direct.
+        """Submit an assignment for every idle worker while work is queued.
 
-        The snapshot-then-submit order matches the reference: the idle
-        list is fixed before any assignment is submitted (submitting can
-        flip a SHARED-placement host to MGMT, mutating ``_idle_sorted``
-        mid-loop).  The per-processor pending check is folded into the
-        snapshot: the pending set only grows by this loop's own additions
-        — one per distinct index.  The queue-emptiness check is NOT
-        foldable: a submitted job on a free server resolves synchronously
-        and pops the queue (``_AssignJob.resolve_duration``), so the
-        queue can drain mid-loop and the remaining processors must not be
-        handed assignments, exactly as the reference's per-processor
-        re-check guarantees.
+        The idle list is snapshotted before any assignment is submitted
+        (submitting can flip a SHARED-placement host to MGMT, mutating
+        ``_idle_sorted`` mid-loop).  The per-processor pending check is
+        folded into the snapshot: the pending set only grows by this
+        loop's own additions — one per distinct index.  The queue-emptiness
+        check is NOT foldable: a submitted job on a free server resolves
+        synchronously and pops the queue (``_AssignJob.resolve_duration``),
+        so the queue can drain mid-loop and the remaining processors must
+        not be handed assignments.
         """
         queue = self.queue
         if not (queue._elevated._size or queue._normal._size):
@@ -588,10 +571,15 @@ class HotLoop:
         return _TaskDone(self, desc)
 
     def schedule_presplits(self, run: "_RunState") -> None:
-        """``_schedule_presplits`` with slotted background jobs."""
+        """Queue background jobs that pre-split the run's task chunks.
+
+        "One possibility is to presplit the tasks before idle workers
+        present themselves to the executive.  This would allow the
+        executive to work ahead in otherwise idle time."
+        """
         cache = self.caches[run.gid]
         tsize = cache.tsize
-        n_chunks = math.ceil(run.n / tsize)  # same rounding as the reference
+        n_chunks = math.ceil(run.n / tsize)
         machine = self.machine
         cost = self.presplit_cost
         prefix = cache.presplit_prefix
@@ -601,7 +589,12 @@ class HotLoop:
     def schedule_successor_split(
         self, cache: _RunCache, desc: ComputationDescription
     ) -> None:
-        """``_schedule_successor_split`` with a slotted background job."""
+        """Queue the deferred successor-splitting task for one chunk.
+
+        "the splitting of a computation could generate a successor-
+        splitting task that could be quickly queued for later attention
+        when the executive would again be idle."
+        """
         job = _SuccessorSplitJob(
             cache.run,
             desc.id,

@@ -234,13 +234,13 @@ def test_indexed_notify_matches_full_scan(
     st.floats(min_value=0.25, max_value=1.0),
     st.lists(st.sets(st.integers(0, 39), max_size=10), max_size=8),
 )
-def test_vectorized_notify_matches_both_references(
+def test_vectorized_notify_matches_full_scan(
     n_pred, n_succ, fan_in, group_size, kind, seed, target_frac, steps
 ):
-    """Three-way differential: the np.bincount bulk-credit path, the
-    per-group indexed path (``vectorized=False``) and the full-counter
-    scan (``indexed=False``) enable identical granule sets at every step,
-    including with a restricted target subset (deferred release)."""
+    """Two-way differential: the np.bincount bulk-credit path and the
+    full-counter scan (``indexed=False``) enable identical granule sets at
+    every step, including with a restricted target subset (deferred
+    release)."""
     rng = np.random.default_rng(seed)
     if kind == "reverse":
         maps = {"M": rng.integers(0, n_pred, size=(fan_in, n_succ))}
@@ -249,41 +249,24 @@ def test_vectorized_notify_matches_both_references(
         maps = {"F": rng.integers(0, max(n_succ, 1), size=n_pred)}
         mapping = ForwardIndirectMapping("F")
     target = GranuleSet.universe(max(1, int(target_frac * n_succ)))
-    engines = [
-        EnablementEngine(
-            mapping, n_pred, n_succ, maps, group_size=group_size, target=target
-        ),
-        EnablementEngine(
-            mapping, n_pred, n_succ, maps, group_size=group_size, target=target,
-            vectorized=False,
-        ),
-        EnablementEngine(
-            mapping, n_pred, n_succ, maps, group_size=group_size, target=target,
-            indexed=False,
-        ),
-    ]
-    vec, idx, scan = engines
-    assert vec._counts is not None and idx._counts is None and scan._counts is None
-    assert vec.initially_enabled() == idx.initially_enabled() == scan.initially_enabled()
+    vec = EnablementEngine(
+        mapping, n_pred, n_succ, maps, group_size=group_size, target=target
+    )
+    scan = EnablementEngine(
+        mapping, n_pred, n_succ, maps, group_size=group_size, target=target,
+        indexed=False,
+    )
+    assert vec._counts is not None and scan._counts is None
+    assert vec.initially_enabled() == scan.initially_enabled()
     for step in steps:
         delta = GranuleSet.from_ids(i for i in step if i < n_pred)
-        got = [e.notify(delta) for e in engines]
-        assert got[0] == got[1] == got[2]
-        assert vec.enabled == idx.enabled == scan.enabled
-    finals = [e.complete_all() for e in engines]
-    assert finals[0] == finals[1] == finals[2]
+        assert vec.notify(delta) == scan.notify(delta)
+        assert vec.enabled == scan.enabled
+    assert vec.complete_all() == scan.complete_all()
     assert vec.enabled == GranuleSet.universe(n_succ)
 
 
 class TestVectorizedEngineEdges:
-    def test_vectorized_requires_index(self):
-        maps = {"M": np.arange(4)[None, :]}
-        with pytest.raises(ValueError, match="requires indexed"):
-            EnablementEngine(
-                ReverseIndirectMapping("M", fan_in=1), 4, 4, maps,
-                indexed=False, vectorized=True,
-            )
-
     def test_counter_fired_flags_synced(self):
         maps = {"M": np.arange(6)[None, :]}
         e = EnablementEngine(ReverseIndirectMapping("M", fan_in=1), 6, 6, maps)

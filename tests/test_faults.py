@@ -304,6 +304,24 @@ class TestStragglersAndTransients:
         for run_c, run_f in zip(clean.runs, faulty.runs):
             assert run_c.completed == run_f.completed
 
+    def test_failed_lateral_task_is_not_described_twice(self):
+        """A lateral hand-off task that fails transiently is only requeued
+        by its retry: completion processing during the retry backoff must
+        not describe its successor granules a second time."""
+        from repro.executive.extensions import Extensions
+        from repro.executive.splitting import TaskSizer
+        from repro.sweep.runner import build_workload
+
+        result = run_program(
+            build_workload("identity", {"n": 48}),
+            8,
+            sizer=TaskSizer(tasks_per_processor=2.0),
+            extensions=Extensions(lateral_handoff=True),
+            faults=FaultPlan(seed=9, faults=(TransientGranuleError(0.1),)),
+        )
+        assert result.retries > 0 and result.lateral_handoffs > 0
+        assert result.granules_executed == 96
+
     def test_transient_retry_counts_are_reproducible(self):
         program = two_phase_program(IdentityMapping(), n=64)
         plan = FaultPlan(seed=FAULT_SEED, faults=(TransientGranuleError(0.2),))
