@@ -2,8 +2,8 @@
 
 The tentpole claim of the shared-memory plane: dispatching a grid cell to
 a pool worker costs O(1) pickle bytes instead of O(map size).  This bench
-measures the *actual* submitted payloads — the ``(base spec, chunk,
-maps payload, ...)`` argument tuple exactly as ``run_grid`` submits it —
+measures the *actual* submitted payloads — the ``(base spec, units,
+labels, maps, ...)`` argument tuple exactly as ``run_grid`` submits it —
 for a reverse-indirect workload whose concrete selection map holds over
 a million entries, both inline (arrays ride the pickle) and through
 :class:`~repro.sweep.shm.SharedMapStore` descriptors.
@@ -20,6 +20,7 @@ a second.  Writes the ``shm_transfer`` section of ``BENCH_grid.json``.
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import pickle
@@ -28,7 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.sweep import SweepSpec
+from repro.sweep import GridAxis, GridSpec, SweepSpec, grid_cell_seed
+from repro.sweep.runner import GRID_LABELS, _run_units
 from repro.sweep.shm import SharedMapStore
 
 QUICK = os.environ.get("BENCH_QUICK", "") not in ("", "0")
@@ -39,13 +41,25 @@ N = 262_144
 MIN_BYTES_RATIO = 10.0
 
 
-def _chunk_args(maps_payload) -> tuple:
-    """The argument tuple ``run_grid`` submits for one chunk of cells."""
-    base = SweepSpec(
-        "reverse-indirect", replications=2, seed=7, params={"n": N, "fan_in": FAN_IN}
+def _task_args(maps) -> tuple:
+    """The argument tuple ``run_grid`` submits to the worker entry for one
+    batch of cells: a :class:`SharedMapStore` in a pool (it pickles as its
+    descriptors), the plain arrays inline."""
+    grid = GridSpec(
+        base=SweepSpec(
+            "reverse-indirect", replications=2, seed=7, params={"n": N, "fan_in": FAN_IN}
+        ),
+        axes=(GridAxis("sim_workers", (4, 8)),),
     )
-    chunk = [(i, {"sim_workers": 4}, i % 2) for i in range(4)]
-    return (base.to_dict(), chunk, maps_payload, True, False, 0)
+    units = [
+        (pi * 2 + r, point, r, grid_cell_seed(7, point, r))
+        for pi, point in enumerate(grid.points())
+        for r in range(2)
+    ]
+    args = (grid.base.to_dict(), units, GRID_LABELS, maps, None, False)
+    # a change to the worker entry's signature must fail here, loudly
+    assert len(args) == len(inspect.signature(_run_units).parameters)
+    return args
 
 
 def bench_shm_transfer() -> dict:
@@ -53,12 +67,12 @@ def bench_shm_transfer() -> dict:
     entries = int(maps["IMAP"].size)
     assert entries >= 1_000_000
 
-    inline_bytes = len(pickle.dumps(_chunk_args(maps)))
+    inline_bytes = len(pickle.dumps(_task_args(maps)))
 
     t0 = time.perf_counter()
     with SharedMapStore.create(maps) as store:
         create_seconds = time.perf_counter() - t0
-        descriptor_bytes = len(pickle.dumps(_chunk_args(store.descriptors())))
+        descriptor_bytes = len(pickle.dumps(_task_args(store)))
         t1 = time.perf_counter()
         attached = SharedMapStore.attach(store.descriptors())
         attach_seconds = time.perf_counter() - t1

@@ -190,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="R",
         help="fault injection: kill the host worker running replication R "
-        "on its first attempt (repeatable; for testing crash-safety)",
+        "(or grid cell R) on its first attempt (repeatable; for testing "
+        "crash-safety)",
     )
     p_sweep.add_argument(
         "--fault-seed", type=int, default=0, help="seed for the injected fault plan"
@@ -840,11 +841,42 @@ def _write_profile_report(args, profiler, what, outcome, meta, out) -> int:
     return 0
 
 
-def _cmd_sweep(args, out) -> int:
-    from repro.sweep import SweepSpec, run_sweep
+def _sweep_fault_plan(args, units: int):
+    """``(FaultPlan or None, needs supervision)`` from the fault flags and
+    the chaos harness; unit indices are replications or grid cell ids."""
+    from repro.faults import (
+        FaultPlan,
+        SweepWorkerHang,
+        SweepWorkerKill,
+        SweepWorkerSlow,
+        chaos_plan,
+    )
 
+    chaos_seed = _sweep_chaos_seed(args)
+    slows = [_parse_slow(t) for t in args.slow_replications]
+    faults = [SweepWorkerKill(r) for r in args.kill_replications]
+    faults += [SweepWorkerHang(r) for r in args.hang_replications]
+    faults += [SweepWorkerSlow(r, s) for r, s in slows]
+    if chaos_seed is not None:
+        faults += chaos_plan(chaos_seed, units).faults
+    implied = bool(args.hang_replications or slows or chaos_seed is not None)
+    if not faults:
+        return None, implied
+    seed = chaos_seed if chaos_seed is not None else args.fault_seed
+    return FaultPlan(seed=seed, faults=tuple(faults)), implied
+
+
+def _cmd_sweep(args, out) -> int:
+    """``repro sweep``: a replication fan, or with ``--grid`` a parameter grid."""
+    from repro.sweep import GridSpec, SweepSpec, materialize_maps, parse_axis, run_grid, run_sweep
+
+    if args.resume and not args.manifest:
+        print("error: --resume requires --manifest", file=sys.stderr)
+        return 2
+    if args.share_maps and not args.grid_axes:
+        print("error: --share-maps requires --grid", file=sys.stderr)
+        return 2
     try:
-        params = dict(_parse_param(b) for b in args.params)
         spec = SweepSpec(
             workload=args.workload,
             replications=args.replications,
@@ -853,214 +885,89 @@ def _cmd_sweep(args, out) -> int:
             streams=args.streams,
             barrier=args.barrier,
             tasks_per_processor=args.tasks_per_processor,
-            params=params,
+            params=dict(_parse_param(b) for b in args.params),
         )
-    except (TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.resume and not args.manifest:
-        print("error: --resume requires --manifest", file=sys.stderr)
-        return 2
-    if args.grid_axes:
-        return _cmd_sweep_grid(args, spec, out)
-    if args.share_maps:
-        print("error: --share-maps requires --grid", file=sys.stderr)
-        return 2
-    try:
-        slows = [_parse_slow(t) for t in args.slow_replications]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    chaos_seed = _sweep_chaos_seed(args)
-    fault_plan = None
-    faults: list = []
-    if args.kill_replications or args.hang_replications or slows:
-        from repro.faults import SweepWorkerHang, SweepWorkerKill, SweepWorkerSlow
-
-        faults += [SweepWorkerKill(r) for r in args.kill_replications]
-        faults += [SweepWorkerHang(r) for r in args.hang_replications]
-        faults += [SweepWorkerSlow(r, s) for r, s in slows]
-    if chaos_seed is not None:
-        from repro.faults import chaos_plan
-
-        faults += list(chaos_plan(chaos_seed, spec.replications).faults)
-    if faults:
-        from repro.faults import FaultPlan
-
-        fault_plan = FaultPlan(
-            seed=chaos_seed if chaos_seed is not None else args.fault_seed,
-            faults=tuple(faults),
-        )
-    supervision = _sweep_supervision(
-        args, implied=bool(args.hang_replications or slows or chaos_seed is not None)
-    )
-    profiler, bus, reporter = _sweep_instrumentation(args)
-    try:
-        outcome = run_sweep(
-            spec,
-            workers=args.workers,
-            fault_plan=fault_plan,
-            manifest_path=args.manifest,
-            resume=args.resume,
-            max_restarts=args.max_restarts,
-            profiler=profiler,
-            bus=bus,
-            batch_size=args.batch_size,
-            pool="cold" if args.cold_pool else "warm",
-            supervision=supervision,
-        )
-    except (RuntimeError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        if reporter is not None:
-            reporter.close()
-    agg = outcome.report.aggregate()
-    mode = "barrier" if args.barrier else "next-phase overlap"
-    print(f"workload     : {args.workload} ({mode})", file=out)
-    print(
-        f"replications : {agg['replications']} across {outcome.pool_workers} host "
-        f"process{'es' if outcome.pool_workers != 1 else ''}",
-        file=out,
-    )
-    print(f"mean util    : {agg['utilization_mean']:.1%}", file=out)
-    print(
-        f"util range   : {agg['utilization_min']:.1%} .. {agg['utilization_max']:.1%}",
-        file=out,
-    )
-    print(f"mean makespan: {agg['makespan_mean']:.2f}", file=out)
-    print(f"tasks        : {agg['tasks_total']}", file=out)
-    print(f"elapsed      : {outcome.elapsed_seconds:.2f}s host wall-clock", file=out)
-    if outcome.pool_workers > 1:
-        reuse = "reused warm" if outcome.pool_reused else ("cold" if args.cold_pool else "fresh warm")
-        print(
-            f"pool         : {reuse} pool, batch size {outcome.batch_size}",
-            file=out,
-        )
-    if outcome.resumed:
-        print(f"resumed      : {outcome.resumed} replications from manifest", file=out)
-    if outcome.worker_restarts:
-        print(f"restarts     : {outcome.worker_restarts} after worker death", file=out)
-    _print_supervision(outcome.supervision, out)
-    if args.manifest:
-        print(f"manifest     : {args.manifest}", file=out)
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(outcome.report.to_json())
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(f"saved report to {args.output}", file=out)
-    if profiler is not None:
-        meta = {
-            "command": "sweep",
-            "workload": args.workload,
-            "replications": spec.replications,
-            "pool_workers": outcome.pool_workers,
-            "elapsed_seconds": outcome.elapsed_seconds,
-            "batch_size": outcome.batch_size,
-            "pool_reused": outcome.pool_reused,
-            "pool_generation": outcome.pool_generation,
-        }
-        rc = _write_profile_report(args, profiler, "replication", outcome, meta, out)
-        if rc:
-            return rc
-    return 0
-
-
-def _cmd_sweep_grid(args, spec, out) -> int:
-    """``repro sweep --grid AXIS=v1,v2``: the parameter-grid engine."""
-    from repro.sweep import GridSpec, materialize_maps, parse_axis, run_grid
-
-    try:
-        axes = tuple(parse_axis(token) for token in args.grid_axes)
-        grid = GridSpec(base=spec, axes=axes)
+        grid = None
+        if args.grid_axes:
+            grid = GridSpec(base=spec, axes=tuple(parse_axis(t) for t in args.grid_axes))
+        units = grid.n_cells if grid is not None else spec.replications
+        fault_plan, implied = _sweep_fault_plan(args, units)
         shared = materialize_maps(grid) if args.share_maps else None
     except (TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.share_maps and not shared:
         print("note: workload declares no selection maps; nothing to share", file=out)
+    profiler, bus, reporter = _sweep_instrumentation(args)
+    options = dict(
+        workers=args.workers,
+        fault_plan=fault_plan,
+        manifest_path=args.manifest,
+        resume=args.resume,
+        max_restarts=args.max_restarts,
+        profiler=profiler,
+        bus=bus,
+        batch_size=args.batch_size,
+        pool="cold" if args.cold_pool else "warm",
+        supervision=_sweep_supervision(args, implied),
+    )
     try:
-        slows = [_parse_slow(t) for t in args.slow_replications]
-    except ValueError as exc:
+        if grid is None:
+            outcome = run_sweep(spec, **options)
+        else:
+            outcome = run_grid(grid, shared_maps=shared, **options)
+    except ValueError as exc:  # a refused argument: fault index, foreign manifest
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    chaos_seed = _sweep_chaos_seed(args)
-    kill_cells = list(args.kill_replications)
-    hang_cells = list(args.hang_replications)
-    slow_cells = dict(slows)
-    if chaos_seed is not None:
-        # the chaos matrix maps onto grid cells exactly as onto
-        # replications: unit index = cell id, same seeded draw sequence
-        from repro.faults import chaos_plan
-
-        plan = chaos_plan(chaos_seed, grid.n_cells)
-        kill_cells += [f.replication for f in plan.sweep_kills]
-        hang_cells += [f.replication for f in plan.sweep_hangs]
-        for f in plan.sweep_slows:
-            slow_cells[f.replication] = max(
-                slow_cells.get(f.replication, 0.0), f.delay_seconds
-            )
-    supervision = _sweep_supervision(
-        args, implied=bool(hang_cells or slow_cells or chaos_seed is not None)
-    )
-    profiler, bus, reporter = _sweep_instrumentation(args)
-    try:
-        outcome = run_grid(
-            grid,
-            workers=args.workers,
-            shared_maps=shared,
-            manifest_path=args.manifest,
-            resume=args.resume,
-            max_restarts=args.max_restarts,
-            kill_cells=kill_cells,
-            hang_cells=hang_cells,
-            slow_cells=slow_cells,
-            profiler=profiler,
-            bus=bus,
-            chunk_size=args.batch_size,
-            pool="cold" if args.cold_pool else "warm",
-            supervision=supervision,
-        )
-    except (RuntimeError, OSError, ValueError) as exc:
+    except (RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
         if reporter is not None:
             reporter.close()
-    print(f"workload     : {spec.workload}", file=out)
-    print(
-        f"grid         : {grid.n_points} points x {spec.replications} replications"
-        f" = {grid.n_cells} cells across {outcome.pool_workers} host "
-        f"process{'es' if outcome.pool_workers != 1 else ''}",
-        file=out,
-    )
-    for axis in axes:
-        print(f"  axis {axis.name:<18}: {list(axis.values)}", file=out)
-    print("\nper-point aggregates", file=out)
-    for agg in outcome.report.aggregate_by_point():
-        point = " ".join(f"{k}={v}" for k, v in agg["point"].items())
+    noun = "replication" if grid is None else "cell"
+    hosts = f"{outcome.pool_workers} host process{'es' if outcome.pool_workers != 1 else ''}"
+    if grid is None:
+        agg = outcome.report.aggregate()
+        mode = "barrier" if args.barrier else "next-phase overlap"
+        print(f"workload     : {args.workload} ({mode})", file=out)
+        print(f"replications : {agg['replications']} across {hosts}", file=out)
+        print(f"mean util    : {agg['utilization_mean']:.1%}", file=out)
         print(
-            f"  {point:<44} util {agg['utilization_mean']:7.1%}"
-            f"  makespan {agg['makespan_mean']:9.2f}",
+            f"util range   : {agg['utilization_min']:.1%} .. {agg['utilization_max']:.1%}",
             file=out,
         )
-    print(f"\nelapsed      : {outcome.elapsed_seconds:.2f}s host wall-clock", file=out)
+        print(f"mean makespan: {agg['makespan_mean']:.2f}", file=out)
+        print(f"tasks        : {agg['tasks_total']}", file=out)
+    else:
+        print(f"workload     : {spec.workload}", file=out)
+        print(
+            f"grid         : {grid.n_points} points x {spec.replications} replications"
+            f" = {grid.n_cells} cells across {hosts}",
+            file=out,
+        )
+        for axis in grid.axes:
+            print(f"  axis {axis.name:<18}: {list(axis.values)}", file=out)
+        print("\nper-point aggregates", file=out)
+        for agg in outcome.report.aggregate_by_point():
+            point = " ".join(f"{k}={v}" for k, v in agg["point"].items())
+            print(
+                f"  {point:<44} util {agg['utilization_mean']:7.1%}"
+                f"  makespan {agg['makespan_mean']:9.2f}",
+                file=out,
+            )
+        print("", file=out)
+    print(f"elapsed      : {outcome.elapsed_seconds:.2f}s host wall-clock", file=out)
     if outcome.pool_workers > 1:
         reuse = "reused warm" if outcome.pool_reused else ("cold" if args.cold_pool else "fresh warm")
-        print(
-            f"pool         : {reuse} pool, chunk size {outcome.chunk_size}",
-            file=out,
-        )
+        print(f"pool         : {reuse} pool, batch size {outcome.batch_size}", file=out)
     if outcome.shared_map_bytes:
         print(
             f"shared maps  : {outcome.shared_map_bytes} bytes in shared memory",
             file=out,
         )
     if outcome.resumed:
-        print(f"resumed      : {outcome.resumed} cells from manifest", file=out)
+        print(f"resumed      : {outcome.resumed} {noun}s from manifest", file=out)
     if outcome.worker_restarts:
         print(f"restarts     : {outcome.worker_restarts} after worker death", file=out)
     _print_supervision(outcome.supervision, out)
@@ -1076,16 +983,16 @@ def _cmd_sweep_grid(args, spec, out) -> int:
         print(f"saved report to {args.output}", file=out)
     if profiler is not None:
         meta = {
-            "command": "sweep --grid",
+            "command": "sweep" if grid is None else "sweep --grid",
             "workload": spec.workload,
-            "cells": grid.n_cells,
+            f"{noun}s": units,
             "pool_workers": outcome.pool_workers,
             "elapsed_seconds": outcome.elapsed_seconds,
-            "chunk_size": outcome.chunk_size,
+            "batch_size": outcome.batch_size,
             "pool_reused": outcome.pool_reused,
             "pool_generation": outcome.pool_generation,
         }
-        rc = _write_profile_report(args, profiler, "cell", outcome, meta, out)
+        rc = _write_profile_report(args, profiler, noun, outcome, meta, out)
         if rc:
             return rc
     return 0

@@ -108,14 +108,17 @@ class WorkerThreadKill:
 
 @dataclass(frozen=True, slots=True)
 class SweepWorkerKill:
-    """The pool worker running replication ``replication`` is killed.
+    """The pool worker running unit ``replication`` is killed.
 
-    The kill fires while ``attempt < attempts`` (default: first attempt
-    only): the sweep runner resubmits the replication with the same
-    derived seed, so the final report is byte-identical to a fault-free
-    sweep.  ``attempts > 1`` models a salvage storm — the same unit keeps
-    taking its worker down across consecutive pool rebuilds.  Consumed by
-    :func:`repro.sweep.run_sweep`.
+    The unit index is a replication of :func:`repro.sweep.run_sweep` or a
+    cell id of :func:`repro.sweep.run_grid`; an index past the run's last
+    unit is refused with :class:`ValueError`.  The kill fires while
+    ``attempt < attempts`` (default: first attempt only): the sweep
+    driver resubmits the unit with the same derived seed, so the final
+    report is byte-identical to a fault-free run.  ``attempts > 1``
+    models a salvage storm — the same unit keeps taking its worker down
+    across consecutive pool rebuilds.  Consumed by
+    :func:`repro.sweep.run_sweep` and :func:`repro.sweep.run_grid`.
     """
 
     replication: int
@@ -130,7 +133,7 @@ class SweepWorkerKill:
 
 @dataclass(frozen=True, slots=True)
 class SweepWorkerHang:
-    """The pool worker running replication ``replication`` hangs forever.
+    """The pool worker running unit ``replication`` hangs forever.
 
     Unlike :class:`SweepWorkerKill` the worker does not die — it stops
     making progress, which only a supervision deadline (or, with
@@ -139,7 +142,9 @@ class SweepWorkerHang:
     attempt completes normally with the same derived seed, keeping the
     report byte-identical.  Inline (``workers=1``) the hang degrades to a
     :class:`~repro.sweep.runner.SweepWorkerDied` retry, since a process
-    cannot usefully hang itself.  Consumed by :func:`repro.sweep.run_sweep`.
+    cannot usefully hang itself.  Unit indices are as for
+    :class:`SweepWorkerKill`.  Consumed by :func:`repro.sweep.run_sweep`
+    and :func:`repro.sweep.run_grid`.
     """
 
     replication: int
@@ -158,14 +163,16 @@ class SweepWorkerHang:
 
 @dataclass(frozen=True, slots=True)
 class SweepWorkerSlow:
-    """The pool worker running replication ``replication`` is slowed.
+    """The pool worker running unit ``replication`` is slowed.
 
     A deterministic ``delay_seconds`` sleep before the unit's compute, on
     the first attempt only.  A slowdown inside the task deadline completes
     normally; one past the deadline is preempted and resubmitted (the
     retry is not slowed), so the report stays byte-identical either way.
     The sleep happens *outside* the batch envelope's compute-span stamp,
-    so an injected slowdown never pollutes the cost-model EWMA.
+    so an injected slowdown never pollutes the cost-model EWMA.  Unit
+    indices are as for :class:`SweepWorkerKill`.  Consumed by
+    :func:`repro.sweep.run_sweep` and :func:`repro.sweep.run_grid`.
     """
 
     replication: int

@@ -19,9 +19,13 @@ Entry points
     (canonical report + host-timing facts kept out of the report).
 :func:`run_grid`
     Execute a :class:`GridSpec` — a cartesian product (or explicit list)
-    of parameter points, each replicated — with the same determinism,
-    crash-salvage, and resume guarantees, optionally over the
-    :class:`SharedMapStore` zero-copy map plane.
+    of parameter points, each replicated — optionally over the
+    :class:`SharedMapStore` zero-copy map plane; also returns a
+    :class:`SweepOutcome`.  Both are thin entry points over one driver:
+    a replication fan is the grid with the single point ``{}``, so
+    batching, crash salvage, resume, supervision and fault injection
+    (``fault_plan=``, a :class:`~repro.faults.FaultPlan` whose unit
+    indices are replications or cell ids) behave identically.
 :func:`map_configs`
     Order-preserving parallel map for figure drivers and ad-hoc sweeps.
 ``repro sweep``
@@ -52,7 +56,6 @@ docs/RESILIENCE.md for the degradation ladder and deadline knobs.
 
 from repro.sweep.grid import (
     GridAxis,
-    GridOutcome,
     GridReport,
     GridSpec,
     grid_cell_seed,
@@ -100,7 +103,6 @@ __all__ = [
     "GridAxis",
     "GridSpec",
     "GridReport",
-    "GridOutcome",
     "run_grid",
     "run_grid_cell",
     "grid_point_seed",

@@ -9,9 +9,11 @@ replication *fan*; this module generalizes it to a full grid:
   axes, or an explicit point list, on top of a base :class:`SweepSpec`;
 * deterministic per-cell seeds derived with the replication-seed scheme,
   so a cell's result is a pure function of ``(spec, point, replication)``
-  — never of scheduling, chunking, pool size, or resume;
-* chunked dispatch over the shared :func:`~repro.sweep.runner.run_pool_tasks`
-  pool driver (same crash salvage, same JSONL manifest + ``--resume``);
+  — never of scheduling, batching, pool size, or resume;
+* the one sweep driver of :mod:`repro.sweep.runner` — a replication fan
+  is the grid with the single point ``{}``, so batching, crash salvage,
+  supervision, fault plans and the JSONL manifest + ``--resume`` are
+  shared, not repeated;
 * the zero-copy data plane: pass ``shared_maps`` and the big read-only
   selection-map arrays travel to workers as
   :class:`~repro.sweep.shm.SharedMapStore` descriptors — O(1) pickle
@@ -33,37 +35,35 @@ from __future__ import annotations
 
 import itertools
 import json
-import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 import numpy as np
 
-from repro.obs.events import EventBus, PoolTaskCompleted
-from repro.sweep.pool import WarmPool, cost_model, warm_pool
+from repro.obs.events import EventBus
 from repro.sweep.runner import (
+    GRID_LABELS,
+    SweepOutcome,
+    SweepReport,
     SweepSpec,
     build_workload,
     replication_seed,
-    result_summary,
-    run_pool_tasks,
-    _apply_chaos,
-    _load_manifest,
-    _open_manifest,
+    _drive,
+    _run_unit,
 )
-from repro.sweep.shm import SharedMapStore
-from repro.sweep.supervise import SupervisionPolicy, Supervisor
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults import FaultPlan
     from repro.obs.profile import PoolProfiler
+    from repro.sweep.pool import WarmPool
+    from repro.sweep.supervise import SupervisionPolicy
 
 __all__ = [
     "GridAxis",
     "GridSpec",
     "GridReport",
-    "GridOutcome",
     "run_grid",
     "run_grid_cell",
     "grid_point_seed",
@@ -73,17 +73,9 @@ __all__ = [
     "parse_axis",
 ]
 
-#: grid-point keys that override :class:`SweepSpec` fields
-SPEC_AXES = frozenset({"workload", "sim_workers", "streams", "tasks_per_processor", "barrier"})
-#: grid-point keys that override :class:`~repro.core.overlap.OverlapConfig`
-CONFIG_AXES = frozenset({"overlap", "split", "target_fraction", "group_size", "elevate"})
-#: grid-point keys that drive fault injection
-FAULT_AXES = frozenset({"fault_seed", "transient_p"})
 #: base-spec fields that must not be grid axes (they shape the cell space
 #: itself, or the seed derivation, and varying them would be ambiguous)
 RESERVED_AXES = frozenset({"replications", "seed", "params"})
-
-_GRID_MANIFEST_KIND = "grid-manifest"
 
 
 # ---------------------------------------------------------------------- spec
@@ -251,31 +243,6 @@ def materialize_maps(grid: GridSpec) -> dict[str, np.ndarray]:
 
 
 # ---------------------------------------------------------------------- worker
-class _SharedMapGenerator:
-    """Map 'generator' that ignores the RNG and returns the shared array."""
-
-    def __init__(self, store: Mapping[str, np.ndarray], name: str) -> None:
-        self._store = store
-        self._name = name
-
-    def __call__(self, rng: np.random.Generator) -> np.ndarray:
-        return self._store[self._name]
-
-
-#: one composite-map cache per worker process: adjacent grid points that
-#: share mapping/maps/group-size rebuild only the target-dependent suffix
-_CELL_CACHE = None
-
-
-def _cell_cache():
-    global _CELL_CACHE
-    if _CELL_CACHE is None:
-        from repro.core.enablement import CompositeMapCache
-
-        _CELL_CACHE = CompositeMapCache()
-    return _CELL_CACHE
-
-
 def run_grid_cell(
     base_data: dict[str, Any],
     point: Mapping[str, Any],
@@ -285,128 +252,16 @@ def run_grid_cell(
 ) -> dict[str, Any]:
     """Execute one grid cell; returns its JSON-able summary.
 
-    Everything arrives as plain data (plus an optional attached map
-    store); the phase program is rebuilt locally, exactly like
-    :func:`~repro.sweep.runner.run_replication`.  ``instrument=True``
-    mirrors its profile path: the finished run is counted into the
-    process-local worker registry, without changing the returned summary.
+    Everything arrives as plain data (plus optional shared maps); the
+    phase program is rebuilt locally by the same cell runner
+    :func:`~repro.sweep.runner.run_replication` uses, seeded with
+    :func:`grid_cell_seed`.  ``instrument=True`` counts the finished run
+    into the process-local worker registry without changing the summary.
     """
-    from repro.core.overlap import OverlapConfig, OverlapPolicy, SplitStrategy
-    from repro.executive import TaskSizer, run_program
-
-    spec = SweepSpec.from_dict(base_data)
-    point = dict(point)
-    workload = str(point.get("workload", spec.workload))
-    sim_workers = int(point.get("sim_workers", spec.sim_workers))
-    streams = int(point.get("streams", spec.streams))
-    tasks_per_processor = float(point.get("tasks_per_processor", spec.tasks_per_processor))
-    barrier = bool(point.get("barrier", spec.barrier))
-    if "overlap" in point:
-        barrier = not bool(point["overlap"])
-
-    params = dict(spec.params)
-    params.update(
-        {
-            k: v
-            for k, v in point.items()
-            if k not in SPEC_AXES and k not in CONFIG_AXES and k not in FAULT_AXES
-        }
+    seed = grid_cell_seed(int(base_data.get("seed", 0)), point, replication)
+    return _run_unit(
+        base_data, (0, point, replication, seed), ("point", "replication"), shared, instrument
     )
-
-    config_kwargs: dict[str, Any] = {
-        "policy": OverlapPolicy.NONE if barrier else OverlapPolicy.NEXT_PHASE,
-    }
-    if "split" in point:
-        config_kwargs["split_strategy"] = SplitStrategy(str(point["split"]))
-    if "target_fraction" in point:
-        config_kwargs["target_fraction"] = float(point["target_fraction"])
-    if "group_size" in point:
-        config_kwargs["composite_group_size"] = int(point["group_size"])
-    if "elevate" in point:
-        config_kwargs["elevate_enabling_granules"] = bool(point["elevate"])
-    config = OverlapConfig(**config_kwargs)
-
-    faults = None
-    transient_p = float(point.get("transient_p", 0.0))
-    if transient_p > 0.0:
-        from repro.faults import FaultPlan, TransientGranuleError
-
-        faults = FaultPlan(
-            seed=int(point.get("fault_seed", 0)),
-            faults=(TransientGranuleError(transient_p),),
-        )
-
-    seed = grid_cell_seed(spec.seed, point, replication)
-    programs = [build_workload(workload, params) for _ in range(streams)]
-    if shared:
-        for program in programs:
-            for name in shared:
-                if name in program.map_generators:
-                    program.map_generators[name] = _SharedMapGenerator(shared, name)
-    result = run_program(
-        programs if streams > 1 else programs[0],
-        sim_workers,
-        config=config,
-        sizer=TaskSizer(tasks_per_processor),
-        seed=seed,
-        faults=faults,
-        composite_cache=_cell_cache(),
-    )
-    if instrument:
-        from repro.sweep.runner import count_run_into_worker_registry
-
-        count_run_into_worker_registry(result, workload)
-    return {"point": point, "replication": replication, "seed": seed, **result_summary(result)}
-
-
-def _grid_chunk(
-    base_data: dict[str, Any],
-    chunk: list[tuple[int, dict[str, Any], int]],
-    maps_payload: Mapping[str, Any] | None,
-    attach: bool,
-    chaos: dict[str, Any] | bool | None,
-    attempt: int,
-    instrument: bool = False,
-) -> dict[str, Any]:
-    """Run a chunk of ``(cell id, point, replication)`` cells.
-
-    ``maps_payload`` is either shared-store descriptors (``attach=True``,
-    the zero-copy path) or the concrete arrays themselves (inline mode,
-    or a pool run with shm disabled).  Chunking amortizes both the
-    submission pickle and the shared-store attachment; the attachment is
-    memoized per worker process, so a worker pays the segment-open cost
-    once per grid, not once per chunk.
-
-    ``chaos`` is this attempt's injected-misbehavior verdict (see
-    :func:`~repro.sweep.runner._apply_chaos`) — kill, hang, or slowdown;
-    a plain ``bool`` is the PR 8 kill-on-first-attempt convention, kept
-    for existing callers.
-
-    Returns a batch envelope (like ``runner._pool_entry_batch``): the
-    per-cell summaries plus the chunk's measured compute span, which
-    feeds the host-side cost model and concurrency accounting without
-    touching the canonical report.
-    """
-    if isinstance(chaos, bool):
-        chaos = {"kill": True} if (chaos and attempt == 0) else None
-    _apply_chaos(chaos, f"grid chunk with cells {[c[0] for c in chunk]}")
-    shared: Mapping[str, np.ndarray] | None
-    if maps_payload is None:
-        shared = None
-    elif attach:
-        shared = SharedMapStore.attach(maps_payload, cached=True)
-    else:
-        shared = maps_payload
-    t0 = time.perf_counter()
-    out = [
-        {
-            "cell": cell_id,
-            **run_grid_cell(base_data, point, rep, shared=shared, instrument=instrument),
-        }
-        for cell_id, point, rep in chunk
-    ]
-    t1 = time.perf_counter()
-    return {"batch": out, "compute_seconds": t1 - t0, "t_start": t0, "t_end": t1}
 
 
 # ---------------------------------------------------------------------- report
@@ -445,8 +300,6 @@ class GridReport:
 
     def aggregate_by_point(self) -> list[dict[str, Any]]:
         """Per-point cross-replication summaries (axis values included)."""
-        from repro.sweep.runner import SweepReport
-
         out = []
         for point in self.points():
             agg = SweepReport(spec={}, replications=self.cells_at(point)).aggregate()
@@ -454,244 +307,67 @@ class GridReport:
         return out
 
 
-@dataclass
-class GridOutcome:
-    """A finished grid sweep: canonical report plus host-side facts."""
-
-    report: GridReport
-    elapsed_seconds: float
-    pool_workers: int
-    resumed: int = 0
-    worker_restarts: int = 0
-    #: bytes of read-only map data placed in shared memory (0 = inline)
-    shared_map_bytes: int = 0
-    #: cells per dispatched pool task (diagnostic; never in the report)
-    chunk_size: int = 1
-    #: True when the grid ran on an already-live warm pool
-    pool_reused: bool = False
-    #: warm-pool executor build count after the run (0 = no pool used)
-    pool_generation: int = 0
-    #: supervisor stats (hangs detected, preemptions, ladder transitions,
-    #: final rung) when the grid ran supervised; None otherwise
-    supervision: dict[str, Any] | None = None
-
-
 # ---------------------------------------------------------------------- driver
 def run_grid(
     grid: GridSpec,
     workers: int = 1,
     shared_maps: Mapping[str, np.ndarray] | None = None,
-    use_shm: bool = True,
-    chunk_size: int | None = None,
+    batch_size: int | None = None,
     progress: Callable[[int, int], None] | None = None,
     manifest_path: str | Path | None = None,
     resume: bool = False,
     max_restarts: int = 2,
-    kill_cells: Sequence[int] = (),
-    hang_cells: Sequence[int] = (),
-    slow_cells: Mapping[int, float] | None = None,
+    fault_plan: "FaultPlan | None" = None,
     profiler: "PoolProfiler | None" = None,
     bus: EventBus | None = None,
     pool: "WarmPool | str" = "warm",
     supervision: "SupervisionPolicy | bool | None" = None,
-) -> GridOutcome:
+) -> SweepOutcome:
     """Run every cell of ``grid``; ``workers`` host processes.
 
+    Cell ``pi * replications + r`` is replication ``r`` of point ``pi``,
+    seeded with :func:`grid_cell_seed` and labelled with ``cell``,
+    ``point`` and ``replication``.  Everything else — batching, manifest
+    and resume, crash salvage, supervision, ``profiler``/``bus``
+    observability and ``fault_plan`` injection (fault indices are cell
+    ids) — is exactly :func:`~repro.sweep.runner.run_sweep`'s, with cells
+    in place of replications: the canonical JSON report does not depend
+    on pool size, batching, worker death, or how often the sweep was
+    interrupted and resumed.
+
     ``shared_maps`` are concrete read-only selection maps shared by every
-    cell (see :func:`materialize_maps`).  With a pool and ``use_shm`` they
-    ride the zero-copy plane: one :class:`~repro.sweep.shm.SharedMapStore`
-    per grid, descriptor-only task payloads, guaranteed unlink on exit —
-    including the crash-salvage path (the ``finally`` below runs after
-    pool rebuilds and after ``max_restarts`` is exhausted).  Without a
-    pool (or with ``use_shm=False``) the same arrays are used in-process
-    or pickled inline; the report is byte-identical either way.
-
-    Determinism, manifest and resume semantics are exactly those of
-    :func:`~repro.sweep.runner.run_sweep`, with cells in place of
-    replications: the canonical JSON report does not depend on pool size,
-    chunking, worker death, or how often the sweep was interrupted and
-    resumed.
-
-    ``profiler`` / ``bus`` mirror :func:`~repro.sweep.runner.run_sweep`:
-    per-chunk overhead attribution plus worker-counter merge, and one
-    :class:`~repro.obs.events.PoolTaskCompleted` per landed cell.  The
-    report bytes do not depend on either.
-
-    Fault injection: ``kill_cells`` crashes the worker holding any listed
-    cell (first attempt only); ``hang_cells`` hangs it forever;
-    ``slow_cells`` maps cell ids to injected delays in seconds.
-    ``supervision`` arms the pool supervisor exactly as in
-    :func:`~repro.sweep.runner.run_sweep` — required for a hung chunk to
-    be preempted rather than block the grid; its facts land on
-    :attr:`GridOutcome.supervision`.  None of these change report bytes.
+    cell (see :func:`materialize_maps`).  With a pool they ride the
+    zero-copy plane: one :class:`~repro.sweep.shm.SharedMapStore` per
+    grid, descriptor-only task payloads, guaranteed unlink on exit —
+    including the crash-salvage path and an exhausted ``max_restarts``.
+    Inline the same arrays are used in-process; the report is
+    byte-identical either way.  The outcome's ``shared_map_bytes`` counts
+    them.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     spec_data = grid.to_dict()
-    base_data = spec_data["base"]
-    points = grid.points()
     reps = grid.base.replications
-    cells: list[tuple[int, dict[str, Any], int]] = [
-        (pi * reps + r, point, r)
-        for pi, point in enumerate(points)
+    units = [
+        (pi * reps + r, point, r, grid_cell_seed(grid.base.seed, point, r))
+        for pi, point in enumerate(grid.points())
         for r in range(reps)
     ]
-    total = len(cells)
-    kills = set(kill_cells)
-    hangs = set(hang_cells)
-    slows = dict(slow_cells or {})
-
-    t0 = time.perf_counter()
-    summaries: dict[int, dict[str, Any]] = {}
-    if manifest_path is not None and resume:
-        summaries.update(
-            _load_manifest(manifest_path, spec_data, kind=_GRID_MANIFEST_KIND, key="cell")
-        )
-    manifest = (
-        _open_manifest(manifest_path, spec_data, resume, kind=_GRID_MANIFEST_KIND)
-        if manifest_path is not None
-        else None
-    )
-    done_count = len(summaries)
-    resumed = done_count
-
-    pending = [c for c in cells if c[0] not in summaries]
-    model = cost_model()
-    ckey = "grid:" + json.dumps(
-        {k: v for k, v in spec_data.items() if k != "base"}
-        | {"base": {k: v for k, v in base_data.items() if k not in ("replications", "seed")}},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    if chunk_size is None:
-        if workers == 1:
-            chunk_size = 1  # inline runs flush the manifest per cell
-        else:
-            # cost-model chunking: target ~100-500 ms of compute per task
-            # when the per-cell cost is known (a previous grid in this
-            # process), else the keep-everyone-busy heuristic
-            chunk_size = model.pick_batch_size(ckey, len(pending), workers) or max(
-                1, -(-len(pending) // (workers * 4))
-            )
-    chunks = [pending[i : i + chunk_size] for i in range(0, len(pending), chunk_size)]
-
-    store: SharedMapStore | None = None
-    descriptors = None
-    local_shared: Mapping[str, np.ndarray] | None = None
-    shared_bytes = 0
-    restarts = 0
-    warm = pool if isinstance(pool, WarmPool) else (warm_pool() if pool == "warm" else None)
-    pool_reused = bool(warm is not None and warm.active and workers > 1)
-    supervisor: Supervisor | None = None
-    if supervision:
-        policy = supervision if isinstance(supervision, SupervisionPolicy) else None
-        supervisor = Supervisor(
-            policy,
-            estimate=lambda: model.estimate(ckey),
-            bus=bus,
-            metrics=profiler.metrics if profiler is not None else None,
-            heartbeat_dir=warm.heartbeat_dir if warm is not None else None,
-            what="cell",
-            t0=t0,
-        )
-        supervisor.items_of = lambda ci: len(chunks[ci])
-
-    def record(chunk_id: int, envelope: dict[str, Any]) -> None:
-        nonlocal done_count
-        results = envelope["batch"]
-        model.observe(ckey, float(envelope["compute_seconds"]), len(results))
-        s = float(envelope["t_start"]) - t0
-        e = float(envelope["t_end"]) - t0
-        k = len(results)
-        for j, summary in enumerate(results):
-            cell_id = int(summary["cell"])
-            summaries[cell_id] = summary
-            done_count += 1
-            if manifest is not None:
-                manifest.write(
-                    json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n"
-                )
-                manifest.flush()
-            if progress is not None:
-                progress(done_count, total)
-            if bus is not None:
-                bus.publish(
-                    PoolTaskCompleted(
-                        time.perf_counter() - t0,
-                        "cell",
-                        done_count,
-                        total,
-                        s + (e - s) * j / k,
-                        s + (e - s) * (j + 1) / k,
-                    )
-                )
-
-    try:
-        if shared_maps:
-            shared_bytes = sum(np.asarray(a).nbytes for a in shared_maps.values())
-            if workers > 1 and use_shm:
-                store = SharedMapStore.create(shared_maps)
-                descriptors = store.descriptors()
-            else:
-                local_shared = shared_maps
-
-        def call(chunk_id: int, attempt: int):
-            chunk = chunks[chunk_id]
-            chaos: dict[str, Any] | None = None
-            if attempt == 0 and (kills or hangs or slows):
-                c: dict[str, Any] = {}
-                slow = max((slows.get(cid, 0.0) for cid, _, _ in chunk), default=0.0)
-                if slow:
-                    c["slow"] = slow
-                if any(cid in kills for cid, _, _ in chunk):
-                    c["kill"] = True
-                elif any(cid in hangs for cid, _, _ in chunk):
-                    c["hang"] = {"freeze": False}
-                chaos = c or None
-            if store is not None:
-                # zero-copy path: descriptors only, O(1) pickle bytes
-                payload, attach = descriptors, True
-            else:
-                # inline mode uses the arrays directly (no pickle at
-                # all); a pool with shm disabled pickles them per chunk
-                payload, attach = local_shared, False
-            return (
-                _grid_chunk,
-                (base_data, chunk, payload, attach, chaos, attempt, profiler is not None),
-            )
-
-        restarts = run_pool_tasks(
-            list(range(len(chunks))),
-            call,
-            record,
-            workers=workers,
-            max_restarts=max_restarts,
-            what="grid chunk",
-            profiler=profiler,
-            pool=pool,
-            supervisor=supervisor,
-        )
-    finally:
-        if manifest is not None:
-            manifest.close()
-        if store is not None:
-            store.unlink()
-
-    elapsed = time.perf_counter() - t0
-    report = GridReport(
-        spec=spec_data, cells=[summaries[i] for i in sorted(summaries)]
-    )
-    return GridOutcome(
-        report=report,
-        elapsed_seconds=elapsed,
-        pool_workers=workers,
-        resumed=resumed,
-        worker_restarts=restarts,
-        shared_map_bytes=shared_bytes,
-        chunk_size=chunk_size,
-        pool_reused=pool_reused,
-        pool_generation=warm.generation if warm is not None else 0,
-        supervision=supervisor.stats() if supervisor is not None else None,
+    return _drive(
+        spec_data,
+        spec_data["base"],
+        units,
+        GRID_LABELS,
+        lambda summaries: GridReport(spec=spec_data, cells=summaries),
+        "grid-manifest",
+        workers=workers,
+        progress=progress,
+        fault_plan=fault_plan,
+        manifest_path=manifest_path,
+        resume=resume,
+        max_restarts=max_restarts,
+        profiler=profiler,
+        bus=bus,
+        batch_size=batch_size,
+        pool=pool,
+        supervision=supervision,
+        shared_maps=shared_maps,
     )

@@ -224,7 +224,7 @@ class WarmPool:
 class CostModel:
     """Per-key EWMA of per-item worker compute seconds.
 
-    Keys are workload identities (see ``runner._sweep_cost_key``); values
+    Keys are workload identities (see ``runner._cost_key``); values
     come from the compute-seconds stamp each batch envelope carries.  The
     estimate steers *batch size only* — it never touches seeds, summaries
     or report bytes, so a wildly wrong estimate costs throughput, not

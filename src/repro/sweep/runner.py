@@ -1,4 +1,12 @@
-"""The sweep runner: process-pool replication fans with deterministic output.
+"""The sweep engine: process-pool replication fans and grids with
+deterministic output.
+
+A replication fan is a grid with the single point ``{}``.  :func:`run_sweep`
+and :func:`~repro.sweep.grid.run_grid` only build their units
+``(unit id, point, replication, seed)`` and summary labels; one driver
+runs both, with one worker entry, one cell runner, one pool loop
+(:func:`run_pool_tasks`) and fault injection from a
+:class:`~repro.faults.FaultPlan` only.
 
 Design constraints, in order:
 
@@ -20,16 +28,13 @@ import multiprocessing
 import os
 import time
 import zlib
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    as_completed,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from repro.obs.events import EventBus, PoolTaskCompleted
 from repro.sweep.pool import WarmPool, cost_model, warm_pool
@@ -233,39 +238,148 @@ def replication_seed(sweep_seed: int, replication: int) -> int:
 
 
 # ---------------------------------------------------------------------- worker
-def run_replication(
-    spec_data: dict[str, Any], replication: int, instrument: bool = False
+#: grid-point keys that override :class:`SweepSpec` fields
+SPEC_AXES = frozenset({"workload", "sim_workers", "streams", "tasks_per_processor", "barrier"})
+#: grid-point keys that override :class:`~repro.core.overlap.OverlapConfig`
+CONFIG_AXES = frozenset({"overlap", "split", "target_fraction", "group_size", "elevate"})
+#: grid-point keys that drive fault injection
+FAULT_AXES = frozenset({"fault_seed", "transient_p"})
+
+#: summary label keys of a replication fan and of a grid (see :func:`_run_unit`)
+SWEEP_LABELS = ("replication",)
+GRID_LABELS = ("cell", "point", "replication")
+
+
+class _SharedMapGenerator:
+    """Map 'generator' that ignores the RNG and returns the shared array."""
+
+    def __init__(self, store: Mapping[str, Any], name: str) -> None:
+        self._store = store
+        self._name = name
+
+    def __call__(self, rng: Any) -> Any:
+        return self._store[self._name]
+
+
+#: one composite-map cache per worker process: adjacent grid points that
+#: share mapping/maps/group-size rebuild only the target-dependent suffix
+_CELL_CACHE = None
+
+
+def _cell_cache():
+    global _CELL_CACHE
+    if _CELL_CACHE is None:
+        from repro.core.enablement import CompositeMapCache
+
+        _CELL_CACHE = CompositeMapCache()
+    return _CELL_CACHE
+
+
+def _run_unit(
+    spec_data: dict[str, Any],
+    unit: tuple[int, Mapping[str, Any], int, int],
+    labels: Sequence[str],
+    maps: Mapping[str, Any] | None = None,
+    instrument: bool = False,
 ) -> dict[str, Any]:
-    """Execute one replication; returns its JSON-able summary.
+    """Execute one unit ``(unit id, point, replication, seed)``; returns its
+    JSON-able summary — the one cell runner behind replications and grid
+    cells.
 
-    Module-level (hence picklable) — this is the function the process
-    pool imports on the worker side.  Everything it needs arrives as
-    plain data; the phase program is rebuilt locally.
+    ``point`` overrides ``spec_data`` field by field; its keys resolve in
+    three namespaces (:data:`SPEC_AXES`, :data:`CONFIG_AXES`,
+    :data:`FAULT_AXES`), and anything else is a workload-factory
+    parameter.  A replication is the point ``{}``.  The summary carries
+    the ``labels`` subset of ``{"cell": unit id, "point", "replication"}``,
+    the seed, and :func:`result_summary`.  ``maps`` (a shared-map store
+    or plain arrays) replaces the program's map generators of the same
+    name.  Every run reuses the process's composite-map cache.
 
-    ``instrument=True`` (the ``--profile`` path) counts the finished
-    run into the process-local :func:`~repro.obs.metrics.worker_registry`
+    ``instrument=True`` (the ``--profile`` path) counts the finished run
+    into the process-local :func:`~repro.obs.metrics.worker_registry`
     (via :func:`count_run_into_worker_registry`), so the profiler's
     envelope can carry ``faults.*`` and the other worker-side counters
     back to the parent.  Instrumentation observes, never steers — the
     returned summary is identical either way.
     """
-    from repro.core.overlap import OverlapConfig
+    from repro.core.overlap import OverlapConfig, OverlapPolicy, SplitStrategy
     from repro.executive import TaskSizer, run_program
 
+    unit_id, point, replication, seed = unit
+    point = dict(point)
     spec = SweepSpec.from_dict(spec_data)
-    seed = replication_seed(spec.seed, replication)
-    programs = [build_workload(spec.workload, spec.params) for _ in range(spec.streams)]
-    config = OverlapConfig.barrier() if spec.barrier else OverlapConfig()
+    workload = str(point.get("workload", spec.workload))
+    sim_workers = int(point.get("sim_workers", spec.sim_workers))
+    streams = int(point.get("streams", spec.streams))
+    tasks_per_processor = float(point.get("tasks_per_processor", spec.tasks_per_processor))
+    barrier = bool(point.get("barrier", spec.barrier))
+    if "overlap" in point:
+        barrier = not bool(point["overlap"])
+
+    params = dict(spec.params)
+    params.update(
+        {
+            k: v
+            for k, v in point.items()
+            if k not in SPEC_AXES and k not in CONFIG_AXES and k not in FAULT_AXES
+        }
+    )
+
+    config_kwargs: dict[str, Any] = {
+        "policy": OverlapPolicy.NONE if barrier else OverlapPolicy.NEXT_PHASE,
+    }
+    if "split" in point:
+        config_kwargs["split_strategy"] = SplitStrategy(str(point["split"]))
+    if "target_fraction" in point:
+        config_kwargs["target_fraction"] = float(point["target_fraction"])
+    if "group_size" in point:
+        config_kwargs["composite_group_size"] = int(point["group_size"])
+    if "elevate" in point:
+        config_kwargs["elevate_enabling_granules"] = bool(point["elevate"])
+    config = OverlapConfig(**config_kwargs)
+
+    faults = None
+    transient_p = float(point.get("transient_p", 0.0))
+    if transient_p > 0.0:
+        from repro.faults import FaultPlan, TransientGranuleError
+
+        faults = FaultPlan(
+            seed=int(point.get("fault_seed", 0)),
+            faults=(TransientGranuleError(transient_p),),
+        )
+
+    programs = [build_workload(workload, params) for _ in range(streams)]
+    if maps:
+        for program in programs:
+            for name in maps:
+                if name in program.map_generators:
+                    program.map_generators[name] = _SharedMapGenerator(maps, name)
     result = run_program(
-        programs if spec.streams > 1 else programs[0],
-        spec.sim_workers,
+        programs if streams > 1 else programs[0],
+        sim_workers,
         config=config,
-        sizer=TaskSizer(spec.tasks_per_processor),
+        sizer=TaskSizer(tasks_per_processor),
         seed=seed,
+        faults=faults,
+        composite_cache=_cell_cache(),
     )
     if instrument:
-        count_run_into_worker_registry(result, spec.workload)
-    return {"replication": replication, "seed": seed, **result_summary(result)}
+        count_run_into_worker_registry(result, workload)
+    tags = {"cell": unit_id, "point": point, "replication": replication}
+    return {**{k: tags[k] for k in labels}, "seed": seed, **result_summary(result)}
+
+
+def run_replication(
+    spec_data: dict[str, Any], replication: int, instrument: bool = False
+) -> dict[str, Any]:
+    """Execute one replication; returns its JSON-able summary.
+
+    Module-level (hence picklable); everything it needs arrives as plain
+    data and the phase program is rebuilt locally.  ``instrument`` is
+    :func:`_run_unit`'s.
+    """
+    seed = replication_seed(int(spec_data.get("seed", 0)), replication)
+    return _run_unit(spec_data, (replication, {}, replication, seed), SWEEP_LABELS, None, instrument)
 
 
 def count_run_into_worker_registry(result: Any, workload: str) -> None:
@@ -388,27 +502,32 @@ class SweepReport:
 
 @dataclass
 class SweepOutcome:
-    """A finished sweep: the canonical report plus host-side facts.
+    """A finished sweep or grid: the canonical report plus host-side facts.
 
-    ``batch_size`` / ``pool_reused`` / ``pool_generation`` are diagnostic
-    host facts (how dispatch actually ran), recorded here — never in the
-    canonical report, whose bytes must not depend on them.
+    ``report`` is a :class:`SweepReport` (from :func:`run_sweep`) or a
+    :class:`~repro.sweep.grid.GridReport` (from
+    :func:`~repro.sweep.grid.run_grid`).  ``batch_size`` /
+    ``pool_reused`` / ``pool_generation`` are diagnostic host facts (how
+    dispatch actually ran), recorded here — never in the canonical
+    report, whose bytes must not depend on them.
     """
 
-    report: SweepReport
+    report: Any
     elapsed_seconds: float
     pool_workers: int
     resumed: int = 0
     worker_restarts: int = 0
-    #: replications per dispatched pool task in the main batched phase
+    #: units per dispatched pool task in the main batched phase
     batch_size: int = 1
-    #: True when the sweep ran on an already-live warm pool
+    #: True when the run used an already-live warm pool
     pool_reused: bool = False
-    #: warm-pool executor build count after the sweep (0 = no pool used)
+    #: warm-pool executor build count after the run (0 = no pool used)
     pool_generation: int = 0
     #: supervisor stats (hangs detected, preemptions, ladder transitions,
-    #: final rung) when the sweep ran supervised; None otherwise
+    #: final rung) when the run was supervised; None otherwise
     supervision: dict[str, Any] | None = None
+    #: bytes of read-only map data shared with every unit (0 = none)
+    shared_map_bytes: int = 0
 
 
 # ---------------------------------------------------------------------- faults
@@ -426,8 +545,10 @@ def _apply_chaos(chaos: dict[str, Any] | None, what: str) -> None:
     * ``slow`` sleeps *before* the batch stamps ``t_start``, so an
       injected slowdown can blow a deadline without ever polluting the
       cost model's compute-seconds EWMA;
-    * ``kill`` is the PR 8 crash — hard ``os._exit`` in a pool child,
-      :class:`SweepWorkerDied` inline;
+    * ``kill`` is a hard ``os._exit`` in a pool child (the process dies
+      without cleanup, exactly like an OOM kill or a segfault, and the
+      parent sees :class:`BrokenProcessPool`), :class:`SweepWorkerDied`
+      inline;
     * ``hang`` never returns in a pool child (the supervisor must
       preempt it); ``freeze`` first stops the liveness beat, simulating
       a process so wedged its watchdog thread is dead too — that is the
@@ -456,91 +577,81 @@ def _apply_chaos(chaos: dict[str, Any] | None, what: str) -> None:
         raise SweepWorkerDied(f"injected hang of {what}")
 
 
-def _pool_entry(
+def _run_units(
     spec_data: dict[str, Any],
-    replication: int,
-    kill: bool,
-    attempt: int,
+    units: Sequence[tuple[int, Mapping[str, Any], int, int]],
+    labels: Sequence[str],
+    maps: Mapping[str, Any] | None,
+    chaos: dict[str, Any] | None,
     instrument: bool = False,
 ) -> dict[str, Any]:
-    """Pool-side wrapper around :func:`run_replication` with kill injection.
-
-    An injected :class:`~repro.faults.SweepWorkerKill` fires on the first
-    attempt only: in a pool child it is a hard ``os._exit`` (the process
-    dies without cleanup, exactly like an OOM kill or a segfault, and the
-    parent sees :class:`BrokenProcessPool`); inline it raises
-    :class:`SweepWorkerDied` so the same resubmission path runs without a
-    pool.  The resubmitted attempt carries ``attempt >= 1`` and completes
-    normally with the same derived seed — which is why a killed-and-
-    recovered sweep stays byte-identical to a fault-free one.
-    """
-    if kill and attempt == 0:
-        if multiprocessing.parent_process() is not None:
-            os._exit(17)
-        raise SweepWorkerDied(f"injected kill of replication {replication}")
-    return run_replication(spec_data, replication, instrument=instrument)
-
-
-def _pool_entry_batch(
-    spec_data: dict[str, Any],
-    replications: Sequence[int],
-    chaos: dict[str, Any] | bool | None,
-    attempt: int,
-    instrument: bool = False,
-) -> dict[str, Any]:
-    """Run a batch of replications as one pool task.
+    """Run a batch of units as one pool task — the one worker entry.
 
     One submission pickle and one result envelope amortize dispatch over
     the whole batch; the summaries themselves are exactly what
-    :func:`run_replication` would return one by one, so report bytes are
-    independent of the batch size.  The envelope's ``t_start``/``t_end``
-    (:func:`time.perf_counter`, comparable across processes) and
-    ``compute_seconds`` feed the host-side cost model and the
-    concurrency-overlap accounting — host facts, never report content.
+    :func:`_run_unit` returns one by one, so report bytes are independent
+    of the batch size.  ``maps`` is a
+    :class:`~repro.sweep.shm.SharedMapStore` in a pool (it pickles as its
+    descriptors and reattaches, memoized, on the worker side) or the
+    plain arrays inline.  ``chaos`` is this attempt's injected
+    misbehavior, computed on the host from the fault plan (see
+    :func:`_apply_chaos`).
 
-    ``chaos`` is this attempt's injected-misbehavior verdict, computed on
-    the host from the fault plan (see :func:`_apply_chaos`).  A plain
-    ``bool`` is the PR 8 calling convention — kill on the first attempt —
-    kept so existing callers and pickled submissions stay valid.
+    The envelope's ``t_start``/``t_end`` (:func:`time.perf_counter`,
+    comparable across processes) and ``compute_seconds`` feed the
+    host-side cost model and the concurrency-overlap accounting — host
+    facts, never report content.
     """
-    if isinstance(chaos, bool):
-        chaos = {"kill": True} if (chaos and attempt == 0) else None
-    _apply_chaos(chaos, f"replication batch {list(replications)}")
+    _apply_chaos(chaos, f"{labels[0]}s {[u[0] for u in units]}")
     t0 = time.perf_counter()
-    out = [run_replication(spec_data, r, instrument=instrument) for r in replications]
+    out = [_run_unit(spec_data, unit, labels, maps, instrument) for unit in units]
     t1 = time.perf_counter()
-    return {
-        "batch": out,
-        "compute_seconds": t1 - t0,
-        "t_start": t0,
-        "t_end": t1,
-    }
+    return {"batch": out, "compute_seconds": t1 - t0, "t_start": t0, "t_end": t1}
 
 
-def _sweep_cost_key(spec_data: dict[str, Any]) -> str:
-    """Cost-model identity of a sweep spec: everything that shapes one
-    replication's work, nothing that only counts or seeds them."""
-    d = {k: v for k, v in spec_data.items() if k not in ("replications", "seed")}
+def _fault_injector(plan: "FaultPlan | None", total: int, noun: str):
+    """The injector for ``plan``'s pool-worker faults (None when it has
+    none); refuses a fault aimed past the last of ``total`` units, which
+    would otherwise silently never fire."""
+    if plan is None:
+        return None
+    faults = plan.sweep_kills + plan.sweep_hangs + plan.sweep_slows
+    for f in faults:
+        if f.replication >= total:
+            raise ValueError(
+                f"{type(f).__name__} targets {noun} {f.replication}, but the run "
+                f"has only {total} {noun}s (indices 0..{total - 1})"
+            )
+    if not faults:
+        return None
+    from repro.faults import FaultInjector
+
+    return FaultInjector(plan)
+
+
+def _cost_key(spec_data: dict[str, Any]) -> str:
+    """Cost-model identity of a sweep or grid spec: everything that shapes
+    one unit's work, nothing that only counts or seeds the units."""
+
+    def strip(d: dict[str, Any]) -> dict[str, Any]:
+        return {k: v for k, v in d.items() if k not in ("replications", "seed")}
+
+    d = strip(spec_data)
+    if "base" in d:
+        d["base"] = strip(d["base"])
     return json.dumps(d, sort_keys=True, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------- manifest
-_MANIFEST_KIND = "sweep-manifest"
-
-
 def _load_manifest(
-    path: str | Path,
-    spec_data: dict[str, Any],
-    kind: str = _MANIFEST_KIND,
-    key: str = "replication",
+    path: str | Path, spec_data: dict[str, Any], kind: str, key: str
 ) -> dict[int, dict[str, Any]]:
-    """Completed task summaries journaled at ``path``, keyed by ``key``.
+    """Completed unit summaries journaled at ``path``, keyed by ``key``.
 
     Returns ``{}`` when the file does not exist.  Raises when the manifest
     belongs to a different spec — resuming someone else's sweep would
     silently mix incompatible results.  A trailing partial line (the
-    previous process died mid-write) is ignored.  The grid engine reuses
-    this with its own ``kind`` / ``key`` (cell-indexed entries).
+    previous process died mid-write) is ignored.
     """
     path = Path(path)
     if not path.exists():
@@ -571,10 +682,7 @@ def _load_manifest(
 
 
 def _open_manifest(
-    path: str | Path,
-    spec_data: dict[str, Any],
-    resume: bool,
-    kind: str = _MANIFEST_KIND,
+    path: str | Path, spec_data: dict[str, Any], resume: bool, kind: str
 ) -> IO[str]:
     """Open the journal for appending; fresh (non-resume) runs rewrite it."""
     path = Path(path)
@@ -599,8 +707,8 @@ def _cold_worker_init(
     heartbeat_dir: str | None = None,
     heartbeat_interval: float = 1.0,
 ) -> None:
-    """Initializer for supervised cold/narrow executors: profiler stamp
-    (when a profiler is attached) plus the liveness heartbeat."""
+    """Initializer for cold/narrow executors: profiler stamp (when a
+    profiler is attached) plus the liveness heartbeat (when supervised)."""
     if profiled:
         from repro.obs.profile import _profile_worker_init
 
@@ -624,11 +732,10 @@ def run_pool_tasks(
 ) -> int:
     """Run every task in ``keys`` with crash-salvage; returns pool restarts.
 
-    The one pool-management loop the replication fan, the grid engine and
-    :func:`map_configs` all run on.  ``call(key, attempt)`` returns the
-    ``(module-level function, picklable args)`` pair to execute for
-    ``key``; ``record(key, result)`` is invoked exactly once per key, in
-    completion order.
+    The one pool-management loop the sweep driver and :func:`map_configs`
+    run on.  ``call(key, attempt)`` returns the ``(module-level function,
+    picklable args)`` pair to execute for ``key``; ``record(key, result)``
+    is invoked exactly once per key, in completion order.
 
     ``workers=1`` runs inline — no pool, no fork — which doubles as the
     reference execution for the byte-identical-report guarantee.
@@ -637,18 +744,15 @@ def run_pool_tasks(
     process-wide :class:`~repro.sweep.pool.WarmPool` — workers persist
     across driver calls, so only the first sweep in a process pays
     start-up; a :class:`WarmPool` instance uses that pool; ``"cold"``
-    restores the original executor-per-call behaviour (the reference the
-    lifecycle tests compare against).  Because the warm pool may be wider
-    than ``workers`` (it never shrinks), submissions are windowed: at most
-    ``workers`` tasks are in flight at once, so the requested concurrency
-    is honoured exactly regardless of pool width.
+    builds a throwaway executor per dispatch.  Submissions are windowed:
+    at most ``workers`` tasks are in flight at once, so the requested
+    concurrency is honoured exactly even on a wider warm pool.
 
-    Crash-salvage is identical in every mode: a dead child (injected
-    kill, real OOM/segfault) breaks the executor; this driver salvages
-    every future that finished before the break, rebuilds the pool (the
-    warm pool via :meth:`~repro.sweep.pool.WarmPool.rebuild`), and
-    resubmits the missing keys with ``attempt`` incremented — up to
-    ``max_restarts`` rebuilds.  Inline kills surface as
+    Crash-salvage: a dead child (injected kill, real OOM/segfault) breaks
+    the executor; this driver salvages every future that finished before
+    the break, rebuilds the pool (the warm pool via
+    :meth:`~repro.sweep.pool.WarmPool.rebuild`), and resubmits the
+    missing keys with ``attempt`` incremented.  Inline kills surface as
     :class:`SweepWorkerDied` and retry through the same accounting.
 
     With ``profiler`` set, every submission is routed through the
@@ -656,19 +760,19 @@ def run_pool_tasks(
     the envelope is unwrapped *before* ``record`` runs, so downstream
     accounting — and the canonical report bytes — are untouched.
 
-    With ``supervisor`` set (and ``workers > 1``), dispatch runs the
-    supervised drive instead: a single windowed loop (used for warm *and*
-    cold pools) whose ``wait`` wakes every
+    Dispatch walks a ladder of ``(rung, width)`` pool disciplines.
+    Unsupervised (``supervisor=None``) it is a single rung — the warm or
+    cold pool — with a budget of ``max_restarts`` rebuilds, after which
+    it raises; ``wait`` blocks until a task lands.  With ``supervisor``
+    set, ``wait`` wakes every
     :attr:`~repro.sweep.supervise.SupervisionPolicy.poll_interval` to
     probe deadlines and worker heartbeats.  A detected hang preempts the
     pool's workers, which lands in the very same salvage/rebuild/resubmit
     path a crash does — so reports stay byte-identical under hangs for
     the same reason they do under kills.  When one rung exhausts its
-    restart budget the driver walks the degradation ladder
+    restart budget the driver steps down the degradation ladder
     (``warm → cold → narrow → serial``) instead of raising; the serial
-    rung runs inline and always completes.  Unsupervised dispatch
-    (``supervisor=None``) is the exact pre-existing loop — no polling, no
-    ladder, raise after ``max_restarts``.
+    rung runs inline and always completes.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -690,6 +794,9 @@ def run_pool_tasks(
         done.add(key)
         record(key, result)
 
+    def missing() -> list[Any]:
+        return [k for k in keys if k not in done]
+
     def salvage(futs: dict[Any, Any]) -> None:
         # A dead child takes the whole executor down.  Results that
         # finished before the break are still inside their futures —
@@ -701,19 +808,6 @@ def run_pool_tasks(
                 note(key, fut.result())
             except BrokenProcessPool:
                 pass
-
-    def bump_attempts() -> None:
-        for key in keys:
-            if key not in done:
-                attempts[key] += 1
-
-    def too_many() -> RuntimeError:
-        missing = [k for k in keys if k not in done]
-        return RuntimeError(
-            f"{what} pool died {restarts} times "
-            f"(max_restarts={max_restarts}); {what}s "
-            f"{missing} not completed"
-        )
 
     def run_inline(subset: Sequence[Any]) -> None:
         nonlocal restarts
@@ -727,149 +821,299 @@ def run_pool_tasks(
                     attempts[key] += 1
                     restarts += 1
 
-    pending = [k for k in keys if k not in done]
     if workers == 1:
-        run_inline(pending)
+        run_inline(missing())
         return restarts
 
     warm = pool if isinstance(pool, WarmPool) else (warm_pool() if pool == "warm" else None)
-
-    if supervisor is not None:
-        # ---------------------------------------------------- supervised drive
+    start = "warm" if warm is not None else "cold"
+    if supervisor is None:
+        rungs = [(start, workers)]
+        budget, poll, heartbeat_dir, beat = max_restarts, None, None, 1.0
+    else:
         if supervisor.heartbeat_dir is None and warm is not None:
             supervisor.heartbeat_dir = warm.heartbeat_dir
-        policy = supervisor.policy
-        start = supervisor.rung if supervisor.rung is not None else (
-            "warm" if warm is not None else "cold"
-        )
+        start = supervisor.rung or start
         if warm is None and start == "warm":
             start = "cold"
         rungs = degradation_ladder(start, workers)
         budget = supervisor.rung_budget(max_restarts)
-        for rung_idx, (rung, width) in enumerate(rungs):
-            pending = [k for k in keys if k not in done]
-            if not pending:
-                break
-            supervisor.begin(what, rung)
-            if rung == "serial":
-                run_inline(pending)
-                break
-            rung_restarts = 0
-            degraded = False
-            while pending and not degraded:
-                futs = {}
-                cold_ex: ProcessPoolExecutor | None = None
-                try:
-                    if rung == "warm":
-                        assert warm is not None
-                        executor = warm.executor(width)
-                    else:
-                        cold_ex = executor = ProcessPoolExecutor(
-                            max_workers=min(width, len(pending)),
-                            initializer=_cold_worker_init,
-                            initargs=(
-                                profiler is not None,
-                                supervisor.heartbeat_dir,
-                                policy.heartbeat_interval,
-                            ),
-                        )
-                    try:
-                        waiting: set[Any] = set()
-                        idx = 0
-                        while idx < len(pending) or waiting:
-                            while idx < len(pending) and len(waiting) < width:
-                                key = pending[idx]
-                                fn, args = prepare(key)
-                                fut = executor.submit(fn, *args)
-                                futs[fut] = key
-                                waiting.add(fut)
-                                supervisor.track(fut, key)
-                                if rung == "warm":
-                                    warm.tasks_dispatched += 1
-                                idx += 1
-                            finished, waiting = wait(
-                                waiting,
-                                timeout=policy.poll_interval,
-                                return_when=FIRST_COMPLETED,
-                            )
-                            for fut in finished:
-                                supervisor.untrack(fut)
-                                note(futs[fut], fut.result())
-                            if waiting:
-                                supervisor.check(executor)
-                    finally:
-                        if cold_ex is not None:
-                            cold_ex.shutdown(wait=False, cancel_futures=True)
-                except BrokenProcessPool:
-                    salvage(futs)
-                    supervisor.clear_inflight()
-                    restarts += 1
-                    rung_restarts += 1
-                    if rung == "warm":
-                        assert warm is not None
-                        warm.rebuild()
-                    bump_attempts()
-                    if rung_restarts > budget:
-                        if not policy.degrade or rung_idx == len(rungs) - 1:
-                            raise too_many() from None
-                        supervisor.degrade(rung, rungs[rung_idx + 1][0], restarts)
-                        degraded = True
-                pending = [k for k in keys if k not in done]
-        supervisor.reap_shm()
-        return restarts
+        poll = supervisor.policy.poll_interval
+        heartbeat_dir = supervisor.heartbeat_dir
+        beat = supervisor.policy.heartbeat_interval
 
-    if warm is None:
-        initializer = profiler.initializer if profiler is not None else None
+    for rung_idx, (rung, width) in enumerate(rungs):
+        pending = missing()
+        if not pending:
+            break
+        if supervisor is not None:
+            supervisor.begin(what, rung)
+        if rung == "serial":
+            run_inline(pending)
+            break
+        rung_restarts = 0
         while pending:
             futs: dict[Any, Any] = {}
+            cold: ProcessPoolExecutor | None = None
             try:
-                with ProcessPoolExecutor(
-                    max_workers=min(workers, len(pending)), initializer=initializer
-                ) as cold:
-                    for key in pending:
-                        fn, args = prepare(key)
-                        futs[cold.submit(fn, *args)] = key
-                    for fut in as_completed(futs):
-                        note(futs[fut], fut.result())
+                if rung == "warm":
+                    assert warm is not None
+                    executor = warm.executor(width)
+                else:
+                    cold = executor = ProcessPoolExecutor(
+                        max_workers=min(width, len(pending)),
+                        initializer=_cold_worker_init,
+                        initargs=(profiler is not None, heartbeat_dir, beat),
+                    )
+                try:
+                    waiting: set[Any] = set()
+                    idx = 0
+                    while idx < len(pending) or waiting:
+                        while idx < len(pending) and len(waiting) < width:
+                            key = pending[idx]
+                            idx += 1
+                            fn, args = prepare(key)
+                            fut = executor.submit(fn, *args)
+                            futs[fut] = key
+                            waiting.add(fut)
+                            if supervisor is not None:
+                                supervisor.track(fut, key)
+                            if rung == "warm":
+                                warm.tasks_dispatched += 1
+                        finished, waiting = wait(
+                            waiting, timeout=poll, return_when=FIRST_COMPLETED
+                        )
+                        for fut in finished:
+                            if supervisor is not None:
+                                supervisor.untrack(fut)
+                            note(futs[fut], fut.result())
+                        if waiting and supervisor is not None:
+                            supervisor.check(executor)
+                finally:
+                    if cold is not None:
+                        # a supervised pool may hold a hung worker: never join it
+                        cold.shutdown(wait=supervisor is None, cancel_futures=True)
             except BrokenProcessPool:
                 salvage(futs)
+                if supervisor is not None:
+                    supervisor.clear_inflight()
                 restarts += 1
-                if restarts > max_restarts:
-                    raise too_many() from None
-                bump_attempts()
-            pending = [k for k in keys if k not in done]
-        return restarts
-
-    while pending:
-        futs = {}
-        try:
-            executor = warm.executor(workers)
-            waiting: set[Any] = set()
-            idx = 0
-            while idx < len(pending) or waiting:
-                while idx < len(pending) and len(waiting) < workers:
-                    key = pending[idx]
-                    fn, args = prepare(key)
-                    fut = executor.submit(fn, *args)
-                    futs[fut] = key
-                    waiting.add(fut)
-                    warm.tasks_dispatched += 1
-                    idx += 1
-                finished, waiting = wait(waiting, return_when=FIRST_COMPLETED)
-                for fut in finished:
-                    note(futs[fut], fut.result())
-        except BrokenProcessPool:
-            salvage(futs)
-            restarts += 1
-            warm.rebuild()
-            if restarts > max_restarts:
-                raise too_many() from None
-            bump_attempts()
-        pending = [k for k in keys if k not in done]
+                rung_restarts += 1
+                if rung == "warm":
+                    assert warm is not None
+                    warm.rebuild()
+                for key in missing():
+                    attempts[key] += 1
+                if rung_restarts > budget:
+                    last = rung_idx == len(rungs) - 1
+                    if supervisor is None or not supervisor.policy.degrade or last:
+                        raise RuntimeError(
+                            f"{what} pool died {restarts} times "
+                            f"(max_restarts={max_restarts}); {what}s "
+                            f"{missing()} not completed"
+                        ) from None
+                    supervisor.degrade(rung, rungs[rung_idx + 1][0], restarts)
+                    break
+            pending = missing()
+    if supervisor is not None:
+        supervisor.reap_shm()
     return restarts
 
 
 # ---------------------------------------------------------------------- driver
+def _drive(
+    spec_data: dict[str, Any],
+    base_data: dict[str, Any],
+    units: Sequence[tuple[int, dict[str, Any], int, int]],
+    labels: Sequence[str],
+    report: Callable[[list[dict[str, Any]]], Any],
+    manifest_kind: str,
+    *,
+    workers: int,
+    progress: Callable[[int, int], None] | None,
+    fault_plan: "FaultPlan | None",
+    manifest_path: str | Path | None,
+    resume: bool,
+    max_restarts: int,
+    profiler: "PoolProfiler | None",
+    bus: EventBus | None,
+    batch_size: int | None,
+    pool: "WarmPool | str",
+    supervision: "SupervisionPolicy | bool | None",
+    shared_maps: Mapping[str, Any] | None = None,
+) -> SweepOutcome:
+    """The one sweep engine behind :func:`run_sweep` and
+    :func:`~repro.sweep.grid.run_grid`.
+
+    ``units`` are ``(unit id, point, replication, seed)`` tuples run
+    against ``base_data``; ``labels`` are the summary label keys, the
+    first of which names a unit (and keys the manifest).  ``spec_data``
+    is the run's identity in the manifest header and the report, which
+    ``report(summaries in unit order)`` builds.  The driver owns the
+    manifest, progress and bus publishing, the supervisor, the shared-map
+    store's lifetime, batching and fault injection; see :func:`run_sweep`
+    for their semantics.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if max_restarts < 0:
+        raise ValueError(f"max_restarts must be >= 0, got {max_restarts}")
+    if batch_size is not None and batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    noun = labels[0]
+    total = len(units)
+    injector = _fault_injector(fault_plan, total, noun)
+
+    def chaos_for(batch: Sequence[tuple], attempt: int) -> dict[str, Any] | None:
+        """This attempt's injected-misbehavior verdict for one batch."""
+        if injector is None:
+            return None
+        ids = [u[0] for u in batch]
+        chaos: dict[str, Any] = {}
+        slow = max((injector.slows_replication(i, attempt) for i in ids), default=0.0)
+        if slow:
+            chaos["slow"] = slow
+        if any(injector.kills_replication(i, attempt) for i in ids):
+            chaos["kill"] = True
+        else:
+            for i in ids:
+                hang = injector.hangs_replication(i, attempt)
+                if hang is not None:
+                    chaos["hang"] = {"freeze": hang.freeze_heartbeat}
+                    break
+        return chaos or None
+
+    t0 = time.perf_counter()
+    summaries: dict[int, dict[str, Any]] = {}
+    if manifest_path is not None and resume:
+        summaries.update(_load_manifest(manifest_path, spec_data, manifest_kind, noun))
+    manifest = (
+        _open_manifest(manifest_path, spec_data, resume, manifest_kind)
+        if manifest_path is not None
+        else None
+    )
+    done_count = len(summaries)
+    resumed = done_count
+    restarts = 0
+
+    model = cost_model()
+    ckey = _cost_key(spec_data)
+
+    def record(bi: int, envelope: dict[str, Any]) -> None:
+        nonlocal done_count
+        results = envelope["batch"]
+        model.observe(ckey, float(envelope["compute_seconds"]), len(results))
+        # divide the pool task's measured busy span evenly across its
+        # batch (units run sequentially on one worker, so even division
+        # is the right first-order picture for overlap math)
+        s = float(envelope["t_start"]) - t0
+        e = float(envelope["t_end"]) - t0
+        k = len(results)
+        for j, summary in enumerate(results):
+            summaries[int(summary[noun])] = summary
+            done_count += 1
+            if manifest is not None:
+                manifest.write(json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n")
+                manifest.flush()
+            if progress is not None:
+                progress(done_count, total)
+            if bus is not None:
+                bus.publish(
+                    PoolTaskCompleted(
+                        time.perf_counter() - t0,
+                        noun,
+                        done_count,
+                        total,
+                        s + (e - s) * j / k,
+                        s + (e - s) * (j + 1) / k,
+                    )
+                )
+
+    instrument = profiler is not None
+    warm = pool if isinstance(pool, WarmPool) else (warm_pool() if pool == "warm" else None)
+    supervisor: Supervisor | None = None
+    if supervision:
+        supervisor = Supervisor(
+            supervision if isinstance(supervision, SupervisionPolicy) else None,
+            estimate=lambda: model.estimate(ckey),
+            bus=bus,
+            metrics=profiler.metrics if profiler is not None else None,
+            heartbeat_dir=warm.heartbeat_dir if warm is not None else None,
+            what=noun,
+            t0=t0,
+        )
+    store = None
+    maps: Mapping[str, Any] | None = shared_maps or None
+
+    def run_batches(batches: list[list[tuple]]) -> int:
+        if supervisor is not None:
+            supervisor.items_of = lambda bi: len(batches[bi])
+
+        def call(bi: int, attempt: int):
+            batch = batches[bi]
+            return (
+                _run_units,
+                (base_data, batch, labels, maps, chaos_for(batch, attempt), instrument),
+            )
+
+        return run_pool_tasks(
+            list(range(len(batches))),
+            call,
+            record,
+            workers=workers,
+            max_restarts=max_restarts,
+            what=noun,
+            profiler=profiler,
+            pool=pool,
+            supervisor=supervisor,
+        )
+
+    def chunked(items: list[tuple], size: int) -> list[list[tuple]]:
+        return [items[i : i + size] for i in range(0, len(items), size)]
+
+    pending = [u for u in units if u[0] not in summaries]
+    pool_reused = bool(warm is not None and warm.active and workers > 1)
+    used_batch = 1
+    try:
+        if maps and workers > 1:
+            # zero-copy plane: the store travels as O(1)-size descriptors
+            from repro.sweep.shm import SharedMapStore
+
+            store = maps = SharedMapStore.create(maps)
+        if workers == 1 or batch_size == 1:
+            restarts += run_batches([[u] for u in pending])
+        elif batch_size is not None:
+            used_batch = batch_size
+            restarts += run_batches(chunked(pending, batch_size))
+        else:
+            size = model.pick_batch_size(ckey, len(pending), workers)
+            if size is None and len(pending) > workers:
+                # calibration: one single-unit task per worker — times
+                # the workload *and* spins the pool up in parallel
+                restarts += run_batches([[u] for u in pending[:workers]])
+                pending = pending[workers:]
+                size = model.pick_batch_size(ckey, len(pending), workers)
+            used_batch = size if size is not None else 1
+            restarts += run_batches(chunked(pending, used_batch) if pending else [])
+    finally:
+        if manifest is not None:
+            manifest.close()
+        if store is not None:
+            store.unlink()
+    return SweepOutcome(
+        report=report([summaries[i] for i in sorted(summaries)]),
+        elapsed_seconds=time.perf_counter() - t0,
+        pool_workers=workers,
+        resumed=resumed,
+        worker_restarts=restarts,
+        batch_size=used_batch,
+        pool_reused=pool_reused,
+        pool_generation=warm.generation if warm is not None else 0,
+        supervision=supervisor.stats() if supervisor is not None else None,
+        shared_map_bytes=sum(np.asarray(a).nbytes for a in (shared_maps or {}).values()),
+    )
+
+
 def run_sweep(
     spec: SweepSpec,
     workers: int = 1,
@@ -885,6 +1129,10 @@ def run_sweep(
     supervision: "SupervisionPolicy | bool | None" = None,
 ) -> SweepOutcome:
     """Run every replication of ``spec``; ``workers`` host processes.
+
+    A replication fan is a grid with the single point ``{}``: replication
+    ``r`` runs with seed :func:`replication_seed` ``(spec.seed, r)`` and
+    its summary is labelled with ``replication``.
 
     ``workers=1`` runs inline (no pool, no fork) — useful both as the
     low-overhead default and as the reference for the byte-identical
@@ -907,11 +1155,13 @@ def run_sweep(
     the pool; the runner salvages every already-finished future, rebuilds
     the pool, and resubmits the missing batches with their original
     derived seeds — up to ``max_restarts`` pool rebuilds per dispatch
-    phase.  With ``manifest_path`` set, each completed replication is
-    journaled as one JSON line (flushed immediately); ``resume=True``
-    loads the journal and skips finished replications, so an interrupted
-    sweep continues where it stopped.  Neither recovery path changes a
-    single byte of the final report relative to a fault-free serial run.
+    phase.  A fault aimed at a replication index the sweep does not have
+    raises :class:`ValueError` before anything runs.  With
+    ``manifest_path`` set, each completed replication is journaled as one
+    JSON line (flushed immediately); ``resume=True`` loads the journal and
+    skips finished replications, so an interrupted sweep continues where
+    it stopped.  Neither recovery path changes a single byte of the final
+    report relative to a fault-free serial run.
 
     Observability: ``profiler`` attributes each pool task's wall time
     (and makes the workers run instrumented, so worker-side counters flow
@@ -935,170 +1185,26 @@ def run_sweep(
     report bytes either; its facts land on
     :attr:`SweepOutcome.supervision`.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if max_restarts < 0:
-        raise ValueError(f"max_restarts must be >= 0, got {max_restarts}")
-    if batch_size is not None and batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     spec_data = spec.to_dict()
-    injector = None
-    if fault_plan is not None and (
-        fault_plan.sweep_kills or fault_plan.sweep_hangs or fault_plan.sweep_slows
-    ):
-        from repro.faults import FaultInjector
-
-        injector = FaultInjector(fault_plan)
-
-    def chaos_for(batch: Sequence[int], attempt: int) -> dict[str, Any] | None:
-        """This attempt's injected-misbehavior verdict for one batch."""
-        if injector is None:
-            return None
-        chaos: dict[str, Any] = {}
-        slow = max((injector.slows_replication(i, attempt) for i in batch), default=0.0)
-        if slow:
-            chaos["slow"] = slow
-        if any(injector.kills_replication(i, attempt) for i in batch):
-            chaos["kill"] = True
-        else:
-            for i in batch:
-                hang = injector.hangs_replication(i, attempt)
-                if hang is not None:
-                    chaos["hang"] = {"freeze": hang.freeze_heartbeat}
-                    break
-        return chaos or None
-
-    total = spec.replications
-    t0 = time.perf_counter()
-    summaries: dict[int, dict[str, Any]] = {}
-    if manifest_path is not None and resume:
-        summaries.update(_load_manifest(manifest_path, spec_data))
-    manifest = (
-        _open_manifest(manifest_path, spec_data, resume)
-        if manifest_path is not None
-        else None
-    )
-    done_count = len(summaries)
-    resumed = done_count
-    restarts = 0
-
-    def record(i: int, summary: dict[str, Any], started: float, finished: float) -> None:
-        nonlocal done_count
-        summaries[i] = summary
-        done_count += 1
-        if manifest is not None:
-            manifest.write(json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n")
-            manifest.flush()
-        if progress is not None:
-            progress(done_count, total)
-        if bus is not None:
-            bus.publish(
-                PoolTaskCompleted(
-                    time.perf_counter() - t0,
-                    "replication",
-                    done_count,
-                    total,
-                    started,
-                    finished,
-                )
-            )
-
-    instrument = profiler is not None
-    model = cost_model()
-    ckey = _sweep_cost_key(spec_data)
-    warm = pool if isinstance(pool, WarmPool) else (warm_pool() if pool == "warm" else None)
-    supervisor: Supervisor | None = None
-    if supervision:
-        policy = supervision if isinstance(supervision, SupervisionPolicy) else None
-        supervisor = Supervisor(
-            policy,
-            estimate=lambda: model.estimate(ckey),
-            bus=bus,
-            metrics=profiler.metrics if profiler is not None else None,
-            heartbeat_dir=warm.heartbeat_dir if warm is not None else None,
-            what="replication",
-            t0=t0,
-        )
-
-    def run_batches(batches: list[list[int]]) -> int:
-        if supervisor is not None:
-            supervisor.items_of = lambda bi: len(batches[bi])
-
-        def call(bi: int, attempt: int):
-            batch = batches[bi]
-            return (
-                _pool_entry_batch,
-                (spec_data, batch, chaos_for(batch, attempt), attempt, instrument),
-            )
-
-        def record_batch(bi: int, envelope: dict[str, Any]) -> None:
-            results = envelope["batch"]
-            model.observe(ckey, float(envelope["compute_seconds"]), len(results))
-            # divide the pool task's measured busy span evenly across its
-            # batch (replications run sequentially on one worker, so even
-            # division is the right first-order picture for overlap math)
-            s = float(envelope["t_start"]) - t0
-            e = float(envelope["t_end"]) - t0
-            k = len(results)
-            for j, summary in enumerate(results):
-                record(
-                    int(summary["replication"]),
-                    summary,
-                    s + (e - s) * j / k,
-                    s + (e - s) * (j + 1) / k,
-                )
-
-        return run_pool_tasks(
-            list(range(len(batches))),
-            call,
-            record_batch,
-            workers=workers,
-            max_restarts=max_restarts,
-            what="replication",
-            profiler=profiler,
-            pool=pool,
-            supervisor=supervisor,
-        )
-
-    def chunked(items: list[int], size: int) -> list[list[int]]:
-        return [items[i : i + size] for i in range(0, len(items), size)]
-
-    pending = [i for i in range(total) if i not in summaries]
-    pool_reused = bool(warm is not None and warm.active and workers > 1)
-    used_batch = 1
-    try:
-        if workers == 1 or batch_size == 1:
-            restarts += run_batches([[i] for i in pending])
-        elif batch_size is not None:
-            used_batch = batch_size
-            restarts += run_batches(chunked(pending, batch_size))
-        else:
-            size = model.pick_batch_size(ckey, len(pending), workers)
-            if size is None and len(pending) > workers:
-                # calibration: one single-replication task per worker —
-                # times the workload *and* spins the pool up in parallel
-                restarts += run_batches([[i] for i in pending[:workers]])
-                pending = pending[workers:]
-                size = model.pick_batch_size(ckey, len(pending), workers)
-            used_batch = size if size is not None else 1
-            restarts += run_batches(chunked(pending, used_batch) if pending else [])
-    finally:
-        if manifest is not None:
-            manifest.close()
-    elapsed = time.perf_counter() - t0
-    report = SweepReport(
-        spec=spec_data, replications=[summaries[i] for i in sorted(summaries)]
-    )
-    return SweepOutcome(
-        report=report,
-        elapsed_seconds=elapsed,
-        pool_workers=workers,
-        resumed=resumed,
-        worker_restarts=restarts,
-        batch_size=used_batch,
-        pool_reused=pool_reused,
-        pool_generation=warm.generation if warm is not None else 0,
-        supervision=supervisor.stats() if supervisor is not None else None,
+    units = [(r, {}, r, replication_seed(spec.seed, r)) for r in range(spec.replications)]
+    return _drive(
+        spec_data,
+        spec_data,
+        units,
+        SWEEP_LABELS,
+        lambda summaries: SweepReport(spec=spec_data, replications=summaries),
+        "sweep-manifest",
+        workers=workers,
+        progress=progress,
+        fault_plan=fault_plan,
+        manifest_path=manifest_path,
+        resume=resume,
+        max_restarts=max_restarts,
+        profiler=profiler,
+        bus=bus,
+        batch_size=batch_size,
+        pool=pool,
+        supervision=supervision,
     )
 
 

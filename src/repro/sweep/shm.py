@@ -65,7 +65,7 @@ MapDescriptor = dict[str, Any]
 _LIVE_OWNERS: "set[SharedMapStore]" = set()
 
 #: Worker-side attachment memo: descriptor identity -> live store.  A pool
-#: worker runs many chunks of the same grid; reattaching per chunk would
+#: worker runs many batches of the same grid; reattaching per batch would
 #: reopen the segments hundreds of times for nothing.  Insertion order is
 #: recency order (hits are re-inserted), so the cap below evicts LRU-first.
 _ATTACH_CACHE: dict[tuple, "SharedMapStore"] = {}
@@ -200,12 +200,12 @@ class SharedMapStore(Mapping):
 
         Arrays come back read-only — attachments observe, never mutate.
         ``cached=True`` memoizes the attachment per descriptor set for the
-        life of the process (the pool-worker pattern: every chunk of the
+        life of the process (the pool-worker pattern: every batch of the
         same grid reuses one attachment, closed by the atexit guard).
 
         Every call counts into the process-local worker registry
         (``shm.attach_total{outcome=...}``), so a profiled grid run shows
-        how many chunk arrivals reattached segments versus hit the memo —
+        how many batch arrivals reattached segments versus hit the memo —
         the counters ride the profiler envelope back to the parent.
         """
         from repro.obs.metrics import worker_registry
@@ -322,6 +322,12 @@ class SharedMapStore(Mapping):
                 pass
         _LIVE_OWNERS.discard(self)
 
+    def __reduce__(self):
+        """A store pickles as its descriptors and unpickles as a memoized
+        attachment: handing a store to a pool task ships O(1) bytes and
+        the worker opens each segment once per process."""
+        return (_attach_cached, (self.descriptors(),))
+
     def __enter__(self) -> "SharedMapStore":
         return self
 
@@ -335,6 +341,10 @@ class SharedMapStore(Mapping):
         state = "closed" if self._closed else f"{len(self._descriptors)} maps, {self.nbytes()} bytes"
         side = "owner" if self._owner else "attached"
         return f"SharedMapStore({side}, {state})"
+
+
+def _attach_cached(descriptors: Mapping[str, MapDescriptor]) -> SharedMapStore:
+    return SharedMapStore.attach(descriptors, cached=True)
 
 
 # ---------------------------------------------------------------------- janitor

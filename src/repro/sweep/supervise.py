@@ -43,8 +43,8 @@ bounded wall-clock is the acceptance bar the chaos harness enforces.
 
 Supervision is opt-in (``supervision=`` on :func:`~repro.sweep.run_sweep`
 / :func:`~repro.sweep.run_grid`, or ``--supervise``/``--task-timeout`` on
-the CLI); an unsupervised dispatch runs the exact pre-existing loop with
-no polling and no overhead.
+the CLI); an unsupervised dispatch is the same loop on a single rung,
+with no polling and no overhead.
 """
 
 from __future__ import annotations

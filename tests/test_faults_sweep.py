@@ -115,7 +115,40 @@ class TestManifest:
         assert resumed.report.to_json() == reference_json()
 
 
+class TestFaultIndices:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fault_past_last_replication_is_refused(self, workers):
+        plan = FaultPlan(faults=(SweepWorkerKill(SPEC.replications),))
+        with pytest.raises(ValueError, match=r"replication 4\b.*only 4 replications"):
+            run_sweep(SPEC, workers=workers, fault_plan=plan)
+
+    def test_last_replication_is_a_valid_target(self):
+        plan = FaultPlan(faults=(SweepWorkerKill(SPEC.replications - 1),))
+        outcome = run_sweep(SPEC, workers=1, fault_plan=plan)
+        assert outcome.report.to_json() == reference_json()
+        assert outcome.worker_restarts == 1
+
+
 class TestSweepCLI:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--kill-replication", "-1"),
+            ("--kill-replication", "9"),
+            ("--hang-replication", "2"),
+            ("--slow-replication", "0:-1"),
+            ("--slow-replication", "5:0.1"),
+        ],
+    )
+    def test_bad_fault_flag_is_a_usage_error(self, flags, capsys):
+        code, text = run_cli(
+            "sweep", "identity", "--replications", "2", "--sim-workers", "4", *flags
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "mean util" not in text
+
     def test_kill_replication_flag(self, tmp_path):
         out_file = tmp_path / "report.json"
         code, out = run_cli(

@@ -2,7 +2,7 @@
 
 The acceptance property mirrors the replication fan's: a grid report is
 a pure function of ``(grid spec, shared maps)`` — byte-identical across
-pool sizes, chunkings, worker kills, and manifest resumes.
+pool sizes, batch sizes, worker kills, and manifest resumes.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.faults import FaultPlan, SweepWorkerHang, SweepWorkerKill, SweepWorkerSlow
 from repro.sweep import (
     GridAxis,
     GridSpec,
@@ -119,28 +120,37 @@ class TestDeterminism:
         for workers in (2, 4):
             assert run_grid(GRID, workers=workers).report.to_json() == reference
 
-    def test_shared_maps_byte_identical_inline_vs_pool_vs_no_shm(self):
+    def test_shared_maps_byte_identical_inline_vs_pool(self):
         maps = materialize_maps(GRID)
         reference = run_grid(GRID, workers=1, shared_maps=maps).report.to_json()
         assert run_grid(GRID, workers=2, shared_maps=maps).report.to_json() == reference
-        assert (
-            run_grid(GRID, workers=2, shared_maps=maps, use_shm=False).report.to_json()
-            == reference
-        )
 
-    def test_chunk_size_does_not_change_report(self):
+    def test_batch_size_does_not_change_report(self):
         reference = run_grid(GRID, workers=2).report.to_json()
-        for chunk_size in (1, 3, 100):
+        for batch_size in (1, 3, 100):
             assert (
-                run_grid(GRID, workers=2, chunk_size=chunk_size).report.to_json()
+                run_grid(GRID, workers=2, batch_size=batch_size).report.to_json()
                 == reference
             )
 
     def test_killed_worker_byte_identical(self):
         reference = run_grid(GRID, workers=1).report.to_json()
-        outcome = run_grid(GRID, workers=2, kill_cells=[1])
+        plan = FaultPlan(faults=(SweepWorkerKill(1),))
+        outcome = run_grid(GRID, workers=2, fault_plan=plan)
         assert outcome.report.to_json() == reference
         assert outcome.worker_restarts == 1
+
+    @pytest.mark.parametrize(
+        "fault", [SweepWorkerKill(8), SweepWorkerHang(40), SweepWorkerSlow(9, 0.1)]
+    )
+    def test_fault_past_last_cell_is_refused(self, fault, tmp_path):
+        manifest = tmp_path / "grid.jsonl"
+        with pytest.raises(ValueError, match=rf"{fault.replication}\b.*only 8 cells"):
+            run_grid(
+                GRID, workers=1, fault_plan=FaultPlan(faults=(fault,)),
+                manifest_path=manifest,
+            )
+        assert not manifest.exists(), "a refused run must not touch its manifest"
 
     def test_config_axes_change_results(self):
         grid = GridSpec(
@@ -277,3 +287,16 @@ class TestCli:
             sys.stderr = old
         assert code == 2
         assert "cannot be a grid axis" in err.getvalue()
+
+    @pytest.mark.parametrize("flag", ["--kill-replication", "--hang-replication"])
+    @pytest.mark.parametrize("index", ["-1", "4", "40"])
+    def test_cli_fault_index_outside_grid_is_a_usage_error(self, flag, index, capsys):
+        # 2 points x 2 replications = 4 cells: ids 0..3
+        code, text = run_cli(
+            "sweep", "identity", "--grid", "sim_workers=4,8", "--replications", "2",
+            "--sim-workers", "4", flag, index,
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and index.lstrip("-") in err
+        assert "Traceback" not in err and "per-point aggregates" not in text

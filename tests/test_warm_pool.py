@@ -195,7 +195,7 @@ class TestByteIdentityAcrossDisciplines:
         for pid in before | survivors:
             assert not _alive(pid), f"worker {pid} leaked through the storm"
 
-    def test_grid_chunked_through_warm_pool_identical(self):
+    def test_grid_batched_via_warm_pool_identical(self):
         grid = GridSpec(
             base=SweepSpec("identity", replications=2, seed=5, sim_workers=4),
             axes=(parse_axis("sim_workers=4,8"),),
@@ -203,11 +203,11 @@ class TestByteIdentityAcrossDisciplines:
         ref = run_grid(grid, workers=1).report.to_json()
         pool = WarmPool()
         try:
-            first = run_grid(grid, workers=2, chunk_size=3, pool=pool)
+            first = run_grid(grid, workers=2, batch_size=3, pool=pool)
             second = run_grid(grid, workers=2, pool=pool)
             assert first.report.to_json() == ref
             assert second.report.to_json() == ref
-            assert first.chunk_size == 3 and second.chunk_size >= 1
+            assert first.batch_size == 3 and second.batch_size >= 1
             assert not first.pool_reused and second.pool_reused
         finally:
             pool.shutdown()
