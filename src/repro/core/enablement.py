@@ -34,7 +34,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.core.granule import GranuleSet
-from repro.core.mapping import EnablementMapping
+from repro.core.mapping import EnablementMapping, _group_index_arrays
 
 __all__ = [
     "EnablementCounter",
@@ -136,11 +136,10 @@ class CompositeGranuleMap:
     """
 
     def __init__(self, groups: list[CompositeGroup]) -> None:
-        covered = GranuleSet.empty()
-        for g in groups:
-            if not covered.isdisjoint(g.successors):
-                raise ValueError("composite map successor groups must be disjoint")
-            covered = covered | g.successors
+        covered = GranuleSet.union_all(g.successors for g in groups)
+        # the union loses granules exactly when two groups share one
+        if len(covered) != sum(len(g.successors) for g in groups):
+            raise ValueError("composite map successor groups must be disjoint")
         self.groups = list(groups)
         self.covered = covered
         # build provenance, set by build(); None for hand-assembled maps
@@ -198,14 +197,15 @@ class CompositeGranuleMap:
         cached: dict[GranuleSet, GranuleSet] = {}
         if reuse is not None:
             cached = {g.successors: g.required for g in reuse.groups}
-        missing = [s for s in subsets if s not in cached]
+        missing = [s for s in subsets if s not in cached] if cached else subsets
         # one bulk reverse-mapping pass instead of a required_for call
-        # (with its per-call map validation) per subset group
-        requireds = dict(
-            zip(missing, mapping.required_for_many(missing, n_pred, n_succ, maps))
-        )
+        # (with its per-call map validation) per subset group; its answers
+        # come back in ``missing`` order, which is ``subsets`` order
+        fresh = iter(mapping.required_for_many(missing, n_pred, n_succ, maps))
         groups = [
-            CompositeGroup(successors=s, required=cached[s] if s in cached else requireds[s])
+            CompositeGroup(
+                successors=s, required=cached[s] if cached and s in cached else next(fresh)
+            )
             for s in subsets
         ]
         out = cls(groups)
@@ -409,26 +409,10 @@ class EnablementEngine:
         ``notify(delta)`` touches only the groups ``delta`` credits
         instead of scanning every enablement counter.
         """
-        starts: list[int] = []
-        lens: list[int] = []
-        gids: list[int] = []
-        for gi, (_, counter) in enumerate(self._counters):
-            for r in counter.required.ranges:
-                starts.append(r.start)
-                lens.append(r.stop - r.start)
-                gids.append(gi)
-        if not starts:
-            self._index_offsets = np.zeros(self.n_pred + 1, dtype=np.int64)
-            self._index_gids = np.empty(0, dtype=np.int64)
-            return
-        starts_a = np.asarray(starts, dtype=np.int64)
-        lens_a = np.asarray(lens, dtype=np.int64)
-        gids_a = np.asarray(gids, dtype=np.int64)
-        total = int(lens_a.sum())
-        # expand every required range to (pred granule, group id) pairs
-        span_base = np.repeat(np.cumsum(lens_a) - lens_a, lens_a)
-        preds = np.repeat(starts_a, lens_a) + (np.arange(total, dtype=np.int64) - span_base)
-        entry_gids = np.repeat(gids_a, lens_a)
+        # every (pred granule, group id) pair the requirements name
+        preds, entry_gids = _group_index_arrays(
+            [counter.required for _, counter in self._counters]
+        )
         order = np.argsort(preds, kind="stable")
         sorted_preds = preds[order]
         self._index_gids = entry_gids[order]
@@ -498,9 +482,9 @@ class EnablementEngine:
         assert offsets is not None and gids is not None
         assert counts is not None and fired_mask is not None
         parts: list[np.ndarray] = []
-        for r in fresh.ranges:
-            lo = offsets[min(max(r.start, 0), self.n_pred)]
-            hi = offsets[min(max(r.stop, 0), self.n_pred)]
+        for start, stop in fresh.spans():
+            lo = offsets[min(max(start, 0), self.n_pred)]
+            hi = offsets[min(max(stop, 0), self.n_pred)]
             if hi > lo:
                 parts.append(gids[lo:hi])
         if not parts:

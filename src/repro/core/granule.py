@@ -5,20 +5,31 @@ granules of the same parallel computational phase".  PAX described
 computations as "large, contiguous collections of granules" that are
 "split apart as necessary to produce conveniently sized tasks for workers
 and then merged back into single descriptions when the work was
-completed".  That makes a half-open integer interval the natural
-representation (:class:`GranuleRange`), and a sorted list of disjoint
-intervals (:class:`GranuleSet`) the natural bookkeeping structure for
+completed".  That makes a half-open integer interval the natural unit
+(:class:`GranuleRange`), and a sorted run of disjoint intervals
+(:class:`GranuleSet`) the natural bookkeeping structure for
 completed-granule tracking, enablement checks and merge-on-completion.
 
-All operations keep the canonical form invariant: ranges sorted, disjoint,
-non-adjacent and non-empty.  :class:`GranuleSet` is a value type — every
-operation returns a new set.
+A :class:`GranuleSet` stores its intervals as one flat tuple of *bounds*
+``(s0, e0, s1, e1, ...)`` plus its cardinality.  The canonical invariant
+is that the bounds strictly increase: ranges are sorted, non-empty,
+disjoint and non-adjacent, so equal sets have equal bounds.  Every
+operation builds canonical bounds directly — union is a linear
+two-pointer merge, intersection and difference walk the operand with
+fewer ranges and ``bisect`` into the other, all with single-range fast
+paths — so only the public constructor from arbitrary ranges ever
+sorts.  ``len`` is O(1), membership is a ``bisect``, and
+:attr:`GranuleSet.ranges` builds its :class:`GranuleRange` objects on
+demand without keeping them.  :class:`GranuleSet` is a value type — every
+operation returns a new set (or an operand unchanged).
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -85,11 +96,15 @@ class GranuleRange:
 
 
 class GranuleSet:
-    """An immutable set of granule indices stored as disjoint ranges.
+    """An immutable set of granule indices stored as flat range bounds.
 
-    Supports the set algebra the enablement engine needs: union,
-    intersection, difference, subset tests, and counting — all in
-    O(number of ranges), independent of the number of granules.
+    ``bounds`` is the strictly increasing tuple ``(s0, e0, s1, e1, ...)``
+    of the half-open ranges ``[s0, e0), [s1, e1), ...``; the cardinality
+    is computed once, when the set is built.  Union costs O(ranges of
+    both operands); intersection, difference and subset tests cost
+    O(ranges of the smaller operand · log ranges of the larger) Python
+    steps plus C-level tuple copies — independent of the number of
+    granules either way.
 
     Examples
     --------
@@ -98,219 +113,234 @@ class GranuleSet:
     7
     >>> 11 in s
     True
+    >>> s.bounds
+    (0, 5, 10, 12)
     >>> (s | GranuleSet.from_ranges([(5, 10)])).ranges
     ([0,15),)
     """
 
-    __slots__ = ("_ranges",)
+    __slots__ = ("_b", "_n")
 
     def __init__(self, ranges: Iterable[GranuleRange] = ()) -> None:
-        self._ranges: tuple[GranuleRange, ...] = self._normalize(ranges)
+        self._b: tuple[int, ...] = self._normalize((r.start, r.stop) for r in ranges)
+        self._n: int = _count(self._b)
 
     # ------------------------------------------------------------------ builders
     @staticmethod
-    def _normalize(ranges: Iterable[GranuleRange]) -> tuple[GranuleRange, ...]:
-        spans = sorted((r.start, r.stop) for r in ranges if not r.empty)
-        out: list[tuple[int, int]] = []
-        for s, e in spans:
-            if out and s <= out[-1][1]:
-                out[-1] = (out[-1][0], max(out[-1][1], e))
-            else:
-                out.append((s, e))
-        return tuple(GranuleRange(s, e) for s, e in out)
+    def _normalize(pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+        """Canonical bounds of arbitrary ``(start, stop)`` pairs.
 
-    @classmethod
-    def _from_normalized(cls, ranges: tuple[GranuleRange, ...]) -> "GranuleSet":
-        """Wrap ranges already in canonical form, skipping ``_normalize``.
-
-        Callers must guarantee sorted, disjoint, non-adjacent, non-empty.
+        The one place that sorts: only the public constructors from
+        arbitrary ranges or ids come through here.
         """
-        out = cls.__new__(cls)
-        out._ranges = ranges
+        spans: list[tuple[int, int]] = []
+        for s, e in pairs:
+            if e < s:
+                raise ValueError(f"range stops before it starts: [{s}, {e})")
+            if s < e:
+                spans.append((s, e))
+        return _merge_sorted(sorted(spans))
+
+    @staticmethod
+    def _from_bounds(bounds: tuple[int, ...], n: int) -> "GranuleSet":
+        """Wrap ``bounds`` already canonical (strictly increasing, even
+        length) whose ranges hold ``n`` granules; nothing is checked."""
+        out = object.__new__(GranuleSet)
+        out._b = bounds
+        out._n = n
         return out
+
+    @staticmethod
+    def _from_edges(edges, n: int) -> "GranuleSet":
+        """Wrap the range edges ``s0, e0, s1, e1, ...`` — a list or 1-d
+        integer array that strictly increases — of ranges holding ``n``
+        granules; nothing is checked.  The array builders in
+        :mod:`repro.core.mapping` hand their results over through this."""
+        if isinstance(edges, np.ndarray):
+            edges = edges.tolist()
+        return _make(tuple(edges), n)
 
     @classmethod
     def from_sorted_ids(cls, ids) -> "GranuleSet":
-        """Build from a sorted, duplicate-free integer array in one pass.
+        """Build from a strictly increasing integer array in one pass.
 
         ``ids`` is anything :func:`numpy.asarray` accepts (typically the
         output of :func:`numpy.unique`).  Consecutive runs collapse into
-        single ranges without the sort `_normalize` would pay.
+        single ranges without a sort; ids that do not strictly increase
+        raise :class:`ValueError`.
         """
         arr = np.asarray(ids, dtype=np.int64)
         if arr.size == 0:
-            return cls.empty()
-        breaks = np.flatnonzero(np.diff(arr) != 1)
-        starts = arr[np.concatenate(([0], breaks + 1))]
-        stops = arr[np.concatenate((breaks, [arr.size - 1]))] + 1
-        return cls._from_normalized(
-            tuple(GranuleRange(int(s), int(e)) for s, e in zip(starts, stops))
-        )
+            return _EMPTY
+        steps = np.diff(arr)
+        if steps.size and steps.min() <= 0:
+            raise ValueError("from_sorted_ids needs strictly increasing ids")
+        breaks = np.flatnonzero(steps != 1)
+        bounds = np.empty(2 * breaks.size + 2, dtype=np.int64)
+        bounds[0] = arr[0]
+        bounds[1:-1:2] = arr[breaks] + 1
+        bounds[2::2] = arr[breaks + 1]
+        bounds[-1] = arr[-1] + 1
+        return _make(tuple(bounds.tolist()), int(arr.size))
 
     @classmethod
     def from_ranges(cls, pairs: Iterable[tuple[int, int]]) -> "GranuleSet":
         """Build from ``(start, stop)`` pairs (overlap/adjacency merged)."""
-        return cls(GranuleRange(s, e) for s, e in pairs)
+        bounds = cls._normalize(pairs)
+        return _make(bounds, _count(bounds))
 
     @classmethod
     def from_ids(cls, ids: Iterable[int]) -> "GranuleSet":
-        """Build from individual granule indices."""
-        return cls(GranuleRange(i, i + 1) for i in ids)
+        """Build from individual granule indices (any order, repeats allowed)."""
+        return cls.from_ranges((i, i + 1) for i in ids)
 
     @classmethod
     def empty(cls) -> "GranuleSet":
-        return cls(())
+        return _EMPTY
 
     @classmethod
     def universe(cls, n: int) -> "GranuleSet":
         """The full granule set ``[0, n)`` of an ``n``-granule phase."""
-        return cls((GranuleRange(0, n),))
+        if n > 0:
+            return _make((0, n), n)
+        if n < 0:
+            raise ValueError(f"range stops before it starts: [0, {n})")
+        return _EMPTY
 
     # ------------------------------------------------------------------ queries
     @property
+    def bounds(self) -> tuple[int, ...]:
+        """The flat canonical bounds ``(s0, e0, s1, e1, ...)``."""
+        return self._b
+
+    def spans(self) -> Iterator[tuple[int, int]]:
+        """The ``(start, stop)`` pair of every range, in order."""
+        b = self._b
+        return zip(b[::2], b[1::2])
+
+    @property
     def ranges(self) -> tuple[GranuleRange, ...]:
-        return self._ranges
+        """The ranges as :class:`GranuleRange` objects, built on each call."""
+        b = self._b
+        return tuple(map(GranuleRange, b[::2], b[1::2]))
 
     def __len__(self) -> int:
-        return sum(len(r) for r in self._ranges)
+        return self._n
 
     def __bool__(self) -> bool:
-        return bool(self._ranges)
+        return bool(self._b)
 
     def __contains__(self, granule: int) -> bool:
-        # binary search over disjoint sorted ranges
-        lo, hi = 0, len(self._ranges)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            r = self._ranges[mid]
-            if granule < r.start:
-                hi = mid
-            elif granule >= r.stop:
-                lo = mid + 1
-            else:
-                return True
-        return False
+        # an odd number of bounds at or below the granule puts it inside a range
+        return bisect_right(self._b, granule) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        for r in self._ranges:
-            yield from r
+        b = self._b
+        return chain.from_iterable(map(range, b[::2], b[1::2]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GranuleSet):
             return NotImplemented
-        return self._ranges == other._ranges
+        return self._b == other._b
 
     def __hash__(self) -> int:
-        return hash(self._ranges)
+        return hash(self._b)
 
     def min(self) -> int:
         """Smallest granule index; raises on an empty set."""
-        if not self._ranges:
+        if not self._b:
             raise ValueError("empty granule set has no minimum")
-        return self._ranges[0].start
+        return self._b[0]
 
     def max(self) -> int:
         """Largest granule index; raises on an empty set."""
-        if not self._ranges:
+        if not self._b:
             raise ValueError("empty granule set has no maximum")
-        return self._ranges[-1].stop - 1
+        return self._b[-1] - 1
 
     # ------------------------------------------------------------------ algebra
     def __or__(self, other: "GranuleSet") -> "GranuleSet":
-        # Linear two-pointer merge: both operands are already canonical,
-        # so re-sorting (what _normalize does) would waste an O(n log n)
-        # pass on every union in the enablement hot path.
-        a, b = self._ranges, other._ranges
+        a, b = self._b, other._b
         if not a:
             return other
         if not b:
             return self
-        out: list[GranuleRange] = []
-        i = j = 0
-        na, nb = len(a), len(b)
-        cur_s, cur_e = None, 0
-        while i < na or j < nb:
-            if j >= nb or (i < na and a[i].start <= b[j].start):
-                r = a[i]
-                i += 1
-            else:
-                r = b[j]
-                j += 1
-            if cur_s is None:
-                cur_s, cur_e = r.start, r.stop
-            elif r.start <= cur_e:
-                if r.stop > cur_e:
-                    cur_e = r.stop
-            else:
-                out.append(GranuleRange(cur_s, cur_e))
-                cur_s, cur_e = r.start, r.stop
-        out.append(GranuleRange(cur_s, cur_e))
-        return GranuleSet._from_normalized(tuple(out))
+        if a[-1] <= b[0]:
+            # appending after the last range, the completion-tracking shape
+            return _make(a + b if a[-1] < b[0] else a[:-1] + b[1:], self._n + other._n)
+        if b[-1] <= a[0]:
+            return _make(b + a if b[-1] < a[0] else b[:-1] + a[1:], self._n + other._n)
+        if len(a) == 2 == len(b):
+            # two single ranges that overlap or touch
+            lo = a[0] if a[0] < b[0] else b[0]
+            hi = a[1] if a[1] > b[1] else b[1]
+            return _make((lo, hi), hi - lo)
+        out = _union(a, b)
+        return _make(out, _count(out))
 
     @classmethod
     def union_all(cls, sets: Iterable["GranuleSet"]) -> "GranuleSet":
-        """Union of many sets in one normalization pass.
+        """Union of many sets in one pass.
 
-        Folding with ``|`` costs O(k·n) range copies over k operands; this
-        gathers every range once and merges in a single O(N log k) sweep
-        (``heapq.merge`` exploits that each operand is already sorted).
+        Operands already in order (each starting at or after the previous
+        one's end, as the fired groups of a front-to-back composite map
+        are) are concatenated; otherwise ``heapq.merge`` interleaves their
+        ranges in one O(N log k) sweep, which beats folding with ``|``.
         """
-        lists = [s._ranges for s in sets if s._ranges]
-        if not lists:
-            return cls.empty()
-        if len(lists) == 1:
-            return cls._from_normalized(lists[0])
-        out: list[GranuleRange] = []
-        cur_s, cur_e = None, 0
-        for r in heapq.merge(*lists):
-            if cur_s is None:
-                cur_s, cur_e = r.start, r.stop
-            elif r.start <= cur_e:
-                if r.stop > cur_e:
-                    cur_e = r.stop
+        parts = [s for s in sets if s._b]
+        if not parts:
+            return _EMPTY
+        if len(parts) == 1:
+            return parts[0]
+        out: list[int] = []
+        n = 0
+        for s in parts:
+            b = s._b
+            if not out or b[0] > out[-1]:
+                out.extend(b)
+            elif b[0] == out[-1]:
+                out.pop()
+                out.extend(b[1:])
             else:
-                out.append(GranuleRange(cur_s, cur_e))
-                cur_s, cur_e = r.start, r.stop
-        out.append(GranuleRange(cur_s, cur_e))
-        return cls._from_normalized(tuple(out))
+                break
+            n += s._n
+        else:
+            return _make(tuple(out), n)
+        bounds = _merge_sorted(heapq.merge(*(p.spans() for p in parts)))
+        return _make(bounds, _count(bounds))
 
     def __and__(self, other: "GranuleSet") -> "GranuleSet":
-        out: list[GranuleRange] = []
-        i = j = 0
-        a, b = self._ranges, other._ranges
-        while i < len(a) and j < len(b):
-            inter = a[i].intersection(b[j])
-            if not inter.empty:
-                out.append(inter)
-            if a[i].stop <= b[j].stop:
-                i += 1
-            else:
-                j += 1
-        return GranuleSet(out)
+        a, b = self._b, other._b
+        if not a or not b or a[-1] <= b[0] or b[-1] <= a[0]:
+            return _EMPTY
+        if len(b) == 2 and b[0] <= a[0] and a[-1] <= b[1]:
+            return self
+        if len(a) == 2 and a[0] <= b[0] and b[-1] <= a[1]:
+            return other
+        if len(a) == 2 == len(b):
+            lo = a[0] if a[0] > b[0] else b[0]
+            hi = a[1] if a[1] < b[1] else b[1]
+            return _make((lo, hi), hi - lo)
+        out = _intersect(a, b)
+        return _make(out, _count(out))
 
     def __sub__(self, other: "GranuleSet") -> "GranuleSet":
-        out: list[GranuleRange] = []
-        j = 0
-        b = other._ranges
-        for r in self._ranges:
-            cur = r.start
-            while j < len(b) and b[j].stop <= cur:
-                j += 1
-            k = j
-            while k < len(b) and b[k].start < r.stop:
-                if b[k].start > cur:
-                    out.append(GranuleRange(cur, b[k].start))
-                cur = max(cur, b[k].stop)
-                if cur >= r.stop:
-                    break
-                k += 1
-            if cur < r.stop:
-                out.append(GranuleRange(cur, r.stop))
-        return GranuleSet(out)
+        a, b = self._b, other._b
+        if not a or not b or a[-1] <= b[0] or b[-1] <= a[0]:
+            return self
+        # what is left of ``a`` lies in the gaps of ``b`` within a's extent
+        gaps = _gaps(b, a[0], a[-1])
+        out = gaps if len(a) == 2 else _intersect(a, gaps)
+        return _make(out, _count(out))
 
     def issubset(self, other: "GranuleSet") -> bool:
         """True when every granule of ``self`` is in ``other``."""
-        return not (self - other)
+        a, b = self._b, other._b
+        if not a:
+            return True
+        if self._n > other._n or a[0] < b[0] or a[-1] > b[-1]:
+            return False
+        return len(b) == 2 or not (self - other)
 
     def isdisjoint(self, other: "GranuleSet") -> bool:
         """True when the sets share no granule."""
@@ -324,23 +354,123 @@ class GranuleSet:
     def take(self, n: int) -> tuple["GranuleSet", "GranuleSet"]:
         """Split off the ``n`` smallest granules: ``(head, rest)``."""
         if n <= 0:
-            return GranuleSet.empty(), self
-        head: list[GranuleRange] = []
-        rest: list[GranuleRange] = []
-        remaining = n
-        for r in self._ranges:
-            if remaining <= 0:
-                rest.append(r)
-            elif len(r) <= remaining:
-                head.append(r)
-                remaining -= len(r)
-            else:
-                a, b2 = r.take(remaining)
-                head.append(a)
-                rest.append(b2)
-                remaining = 0
-        return GranuleSet(head), GranuleSet(rest)
+            return _EMPTY, self
+        if n >= self._n:
+            return self, _EMPTY
+        b = self._b
+        rem = n
+        for i in range(0, len(b), 2):
+            rem -= b[i + 1] - b[i]
+            if rem <= 0:
+                break
+        # range i holds the cut; rem is how far before its stop (<= 0)
+        if rem == 0:
+            head, rest = b[: i + 2], b[i + 2 :]
+        else:
+            cut = b[i + 1] + rem
+            head, rest = b[: i + 1] + (cut,), (cut,) + b[i + 1 :]
+        return _make(head, n), _make(rest, self._n - n)
 
     def __repr__(self) -> str:
-        body = ",".join(repr(r) for r in self._ranges)
-        return f"GranuleSet({body})"
+        b = self._b
+        return "GranuleSet(" + ",".join(map("[{},{})".format, b[::2], b[1::2])) + ")"
+
+
+_make = GranuleSet._from_bounds
+
+
+def _count(bounds: tuple[int, ...]) -> int:
+    """Granules covered by canonical ``bounds``."""
+    return sum(bounds[1::2]) - sum(bounds[::2])
+
+
+_EMPTY = _make((), 0)
+
+
+def _merge_sorted(pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """Canonical bounds of non-empty ``(start, stop)`` pairs sorted by start."""
+    out: list[int] = []
+    for s, e in pairs:
+        if out and s <= out[-1]:
+            if e > out[-1]:
+                out[-1] = e
+        else:
+            out.append(s)
+            out.append(e)
+    return tuple(out)
+
+
+def _gaps(b: tuple[int, ...], lo: int, hi: int) -> tuple[int, ...]:
+    """Bounds of ``[lo, hi)`` minus the canonical ``b``.
+
+    ``b``'s bounds inside the window, read with the roles of starts and
+    stops swapped, are the gaps; ``lo`` and ``hi`` close the first and
+    last gap unless they fall inside one of ``b``'s ranges.
+    """
+    i = bisect_right(b, lo)
+    j = bisect_left(b, hi, i)
+    out = b[i:j]
+    if not i & 1:
+        out = (lo,) + out
+    if not j & 1:
+        out += (hi,)
+    return out
+
+
+def _intersect(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Bounds of the intersection of two canonical bound tuples.
+
+    Walks the operand with fewer ranges and clips the other to each of
+    its ranges by ``bisect``; ranges of the walked operand are separated
+    by gaps, so the clipped pieces come out canonical.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    out: list[int] = []
+    j = 0
+    for k in range(0, len(a), 2):
+        s, e = a[k], a[k + 1]
+        i = bisect_right(b, s, j)
+        j = bisect_left(b, e, i)
+        if i & 1:
+            out.append(s)
+        out.extend(b[i:j])
+        if j & 1:
+            out.append(e)
+    return tuple(out)
+
+
+def _union(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Bounds of the union of two canonical bound tuples.
+
+    A two-pointer merge by range start that keeps the range being grown
+    in locals and emits it once the next start lies beyond it.
+    """
+    out: list[int] = []
+    na, nb = len(a), len(b)
+    if a[0] <= b[0]:
+        lo, hi, i, j = a[0], a[1], 2, 0
+    else:
+        lo, hi, i, j = b[0], b[1], 0, 2
+    while i < na and j < nb:
+        if a[i] <= b[j]:
+            s, e = a[i], a[i + 1]
+            i += 2
+        else:
+            s, e = b[j], b[j + 1]
+            j += 2
+        if s > hi:
+            out += (lo, hi)
+            lo, hi = s, e
+        elif e > hi:
+            hi = e
+    rest, k = (a, i) if i < na else (b, j)
+    # the rest of one operand: absorb what the current range reaches, copy the tail
+    n = len(rest)
+    while k < n and rest[k] <= hi:
+        if rest[k + 1] > hi:
+            hi = rest[k + 1]
+        k += 2
+    out += (lo, hi)
+    out += rest[k:]
+    return tuple(out)

@@ -37,7 +37,7 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.core.granule import GranuleRange, GranuleSet
+from repro.core.granule import GranuleSet
 
 __all__ = [
     "MappingKind",
@@ -169,7 +169,7 @@ class IdentityMapping(EnablementMapping):
         within = completed & GranuleSet.universe(min(n_pred, n_succ))
         if n_succ > n_pred:
             # successor granules with no predecessor partner are free
-            within = within | GranuleSet((GranuleRange(n_pred, n_succ),))
+            within = within | GranuleSet.from_ranges([(n_pred, n_succ)])
         return within
 
     def required_for(self, successors, n_pred, n_succ, maps=None) -> GranuleSet:
@@ -251,8 +251,8 @@ class ReverseIndirectMapping(EnablementMapping):
 
     def _completed_mask(self, completed: GranuleSet, n_pred: int) -> np.ndarray:
         mask = np.zeros(n_pred, dtype=bool)
-        for r in completed.ranges:
-            mask[max(0, r.start) : min(n_pred, r.stop)] = True
+        for lo, hi in completed.spans():
+            mask[max(0, lo) : min(n_pred, hi)] = True
         return mask
 
     def enabled_by(self, completed, n_pred, n_succ, maps=None) -> GranuleSet:
@@ -263,7 +263,7 @@ class ReverseIndirectMapping(EnablementMapping):
 
     def required_for(self, successors, n_pred, n_succ, maps=None) -> GranuleSet:
         arr = self._map(maps, n_succ)
-        idx = np.fromiter((i for i in successors), dtype=np.intp, count=len(successors))
+        idx = np.fromiter(successors, dtype=np.intp, count=len(successors))
         if idx.size == 0:
             return GranuleSet.empty()
         needed = np.unique(arr[:, idx])
@@ -328,8 +328,8 @@ class ForwardIndirectMapping(EnablementMapping):
     def enabled_by(self, completed, n_pred, n_succ, maps=None) -> GranuleSet:
         arr = self._map(maps, n_pred)
         done = np.zeros(n_pred, dtype=bool)
-        for r in completed.ranges:
-            done[max(0, r.start) : min(n_pred, r.stop)] = True
+        for lo, hi in completed.spans():
+            done[max(0, lo) : min(n_pred, hi)] = True
         # successor granule i is blocked while any incomplete predecessor maps to it
         blocked = np.zeros(n_succ, dtype=bool)
         pending_targets = arr[:, ~done].ravel()
@@ -339,8 +339,8 @@ class ForwardIndirectMapping(EnablementMapping):
     def required_for(self, successors, n_pred, n_succ, maps=None) -> GranuleSet:
         arr = self._map(maps, n_pred)
         wanted = np.zeros(n_succ, dtype=bool)
-        for r in successors.ranges:
-            wanted[max(0, r.start) : min(n_succ, r.stop)] = True
+        for lo, hi in successors.spans():
+            wanted[max(0, lo) : min(n_succ, hi)] = True
         touches_wanted = (wanted[np.clip(arr, 0, n_succ - 1)] & (arr < n_succ)).any(axis=0)
         return GranuleSet.from_sorted_ids(np.nonzero(touches_wanted)[0])
 
@@ -348,8 +348,8 @@ class ForwardIndirectMapping(EnablementMapping):
         arr = self._map(maps, n_pred)
         group_of = np.full(n_succ, -1, dtype=np.int64)
         for gi, g in enumerate(groups):
-            for r in g.ranges:
-                group_of[max(0, r.start) : min(n_succ, r.stop)] = gi
+            for lo, hi in g.spans():
+                group_of[max(0, lo) : min(n_succ, hi)] = gi
         # a predecessor belongs to every group one of its targets lands in
         hit = group_of[np.clip(arr, 0, n_succ - 1)]
         hit = np.where(arr < n_succ, hit, -1)
@@ -414,8 +414,8 @@ class SeamMapping(EnablementMapping):
 
     def enabled_by(self, completed, n_pred, n_succ, maps=None) -> GranuleSet:
         done = np.zeros(n_pred, dtype=bool)
-        for r in completed.ranges:
-            done[max(0, r.start) : min(n_pred, r.stop)] = True
+        for lo, hi in completed.spans():
+            done[max(0, lo) : min(n_pred, hi)] = True
         enabled = np.ones(n_succ, dtype=bool)
         idx = np.arange(n_succ)
         for o in self.offsets:
@@ -452,28 +452,35 @@ class SeamMapping(EnablementMapping):
 
 
 def _mask_to_set(mask: np.ndarray) -> GranuleSet:
-    """Convert a boolean granule mask to a :class:`GranuleSet` of ranges."""
-    if not mask.any():
-        return GranuleSet.empty()
+    """Convert a boolean granule mask to a :class:`GranuleSet` of ranges.
+
+    The mask's rising and falling edges are the set's bounds, in order.
+    """
     padded = np.concatenate(([False], mask, [False]))
     edges = np.flatnonzero(padded[1:] != padded[:-1])
-    starts, stops = edges[0::2], edges[1::2]
-    return GranuleSet._from_normalized(
-        tuple(GranuleRange(int(s), int(e)) for s, e in zip(starts, stops))
-    )
+    return GranuleSet._from_edges(edges, int(np.count_nonzero(mask)))
 
 
 def _group_index_arrays(groups: list[GranuleSet]) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten subset groups to parallel (successor index, group id) arrays."""
-    idx_parts: list[np.ndarray] = []
-    gid_parts: list[np.ndarray] = []
-    for gi, g in enumerate(groups):
-        for r in g.ranges:
-            idx_parts.append(np.arange(r.start, r.stop, dtype=np.int64))
-            gid_parts.append(np.full(r.stop - r.start, gi, dtype=np.int64))
-    if not idx_parts:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate(idx_parts), np.concatenate(gid_parts)
+    """Flatten subset groups to parallel (granule index, group id) arrays.
+
+    All groups' bounds go to numpy at once and every range expands in
+    one vectorized pass: a granule's index is its range's start plus its
+    offset within the range.
+    """
+    flat: list[int] = []
+    n_ranges: list[int] = []
+    for g in groups:
+        flat.extend(g.bounds)
+        n_ranges.append(len(g.bounds) // 2)
+    bounds = np.asarray(flat, dtype=np.int64)
+    starts = bounds[0::2]
+    lens = bounds[1::2] - starts
+    first = np.cumsum(lens) - lens  # position of each range's first granule
+    offsets = np.arange(int(lens.sum()), dtype=np.int64) - np.repeat(first, lens)
+    idx = np.repeat(starts, lens) + offsets
+    gids = np.repeat(np.repeat(np.arange(len(groups), dtype=np.int64), n_ranges), lens)
+    return idx, gids
 
 
 def _sets_from_group_keys(keys: np.ndarray, n_groups: int, n_pred: int) -> list[GranuleSet]:
@@ -481,31 +488,24 @@ def _sets_from_group_keys(keys: np.ndarray, n_groups: int, n_pred: int) -> list[
 
     One numpy pass finds maximal runs of consecutive predecessors within a
     group (breaking runs at group boundaries, which can also differ by one
-    in key space), then each group's runs slice straight into a canonical
-    :class:`GranuleSet`.
+    in key space) and lays their bounds out flat in key order, so each
+    group's canonical bounds are one slice of that list and its
+    cardinality is its key count.
     """
     if keys.size == 0:
         return [GranuleSet.empty() for _ in range(n_groups)]
     gids = keys // n_pred
     preds = keys - gids * n_pred
-    diff_one = np.diff(keys) == 1
-    same_gid = np.diff(gids) == 0
-    breaks = np.flatnonzero(~(diff_one & same_gid))
+    breaks = np.flatnonzero((np.diff(keys) != 1) | (np.diff(gids) != 0))
     start_idx = np.concatenate(([0], breaks + 1))
     stop_idx = np.concatenate((breaks, [keys.size - 1]))
-    run_gid = gids[start_idx]
-    run_start = preds[start_idx]
-    run_stop = preds[stop_idx] + 1
-    bounds = np.searchsorted(run_gid, np.arange(n_groups + 1))
-    out: list[GranuleSet] = []
-    for g in range(n_groups):
-        lo, hi = int(bounds[g]), int(bounds[g + 1])
-        out.append(
-            GranuleSet._from_normalized(
-                tuple(
-                    GranuleRange(int(s), int(e))
-                    for s, e in zip(run_start[lo:hi], run_stop[lo:hi])
-                )
-            )
-        )
-    return out
+    bounds = np.empty(2 * start_idx.size, dtype=np.int64)
+    bounds[0::2] = preds[start_idx]
+    bounds[1::2] = preds[stop_idx] + 1
+    flat = bounds.tolist()
+    cuts = (2 * np.searchsorted(gids[start_idx], np.arange(n_groups + 1))).tolist()
+    sizes = np.bincount(gids, minlength=n_groups).tolist()
+    return [
+        GranuleSet._from_edges(flat[cuts[g] : cuts[g + 1]], sizes[g])
+        for g in range(n_groups)
+    ]

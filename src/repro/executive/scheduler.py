@@ -505,7 +505,16 @@ class ExecutiveSimulation:
                 )
         for stream in self.streams:
             self._initiate(stream.runs[0])
-        self.sim.run(max_events=max_events)
+        try:
+            self.sim.run(max_events=max_events)
+        finally:
+            # The executive sits in reference cycles (executive <-> hot loop
+            # <-> machine, run state <-> stream), so whatever it still holds
+            # waits for a full collection.  Dropping the enablement engines
+            # frees each composite map by reference counting as soon as the
+            # run ends, whether it succeeded or not.
+            for run in self.runs:
+                run.engine_to_next = None
         self._finished = True
         for ev in self._fault_events:
             ev.cancel()
@@ -1068,7 +1077,7 @@ class ExecutiveSimulation:
             reason=reason,
             time=self.sim.now,
             missing_granules=len(missing),
-            missing_ranges=tuple((r.start, r.stop) for r in missing.ranges),
+            missing_ranges=tuple(missing.spans()),
             retries=self.retries,
             reassignments=self.reassignments,
             processor_failures=self.processor_failures,

@@ -37,8 +37,9 @@ a note.
 from __future__ import annotations
 
 import weakref
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from operator import attrgetter
 from typing import Any, Iterable, Sequence
 
@@ -424,7 +425,7 @@ def _iv_params(
     return ("window", info[0], info[1], info[2])
 
 
-def _vectorized_covered(
+def _covered_pair(
     succ_tasks: Sequence[ExecutedTask],
     bounds: list[int],
     seg_done: list[float],
@@ -435,12 +436,14 @@ def _vectorized_covered(
 ) -> tuple[int, tuple[int, int, float] | None, int] | None:
     """Order-violation count + checked-pair count for a covered pair.
 
-    One broadcast over (succ task, completion segment) replaces the
-    per-task segment walk.  Returns ``(violations, example, n_task_pairs)``
-    with ``example`` the first ``(task index, granule, completion)``
-    triple, or ``None`` when a precondition fails (multi-range task,
-    non-contiguous window, duplicate segment tasks) so the caller falls
-    back to the per-task path.
+    Each successor task's required interval is located among the sorted
+    completion segments by bisection, so a task costs two bisections and
+    a look at the few segments its window touches.  Returns
+    ``(violations, example, n_task_pairs)`` with ``example`` the first
+    ``(task index, granule, completion)`` triple, or ``None`` when a
+    precondition fails (multi-range task, non-contiguous window,
+    duplicate segment tasks) so the caller falls back to the per-task
+    path.
     """
     dp = _iv_params(declared_rel, n_pred)
     ip = _iv_params(inferred_rel, n_pred)
@@ -449,57 +452,56 @@ def _vectorized_covered(
     n_tasks = len(succ_tasks)
     if n_tasks == 0:
         return 0, None, 0
-    lo = np.empty(n_tasks, np.int64)
-    hi = np.empty(n_tasks, np.int64)
-    st = np.empty(n_tasks)
-    for i, b in enumerate(succ_tasks):
-        if len(b.ranges) != 1:
-            return None
-        lo[i], hi[i] = b.ranges[0]
-        st[i] = b.start
-    width = int((hi - lo).min())
+    spans = [b.ranges[0] for b in succ_tasks if len(b.ranges) == 1]
+    if len(spans) != n_tasks:
+        return None
+    width = min(hi - lo for lo, hi in spans)
     if dp[3] > width or ip[3] > width:
         return None
-    seg = np.asarray(seg_task, dtype=np.int64)
-    nonneg = seg >= 0
-    n_nonneg = int(nonneg.sum())
+    # done_before[j]: completed segments before segment j
+    done_before = [0, *accumulate(s >= 0 for s in seg_task)]
+    n_nonneg = done_before[-1]
     if len({s for s in seg_task if s >= 0}) != n_nonneg:
         return None  # a task split across segments: sets needed for dedup
-    B = np.asarray(bounds, dtype=np.int64)
-    D = np.asarray(seg_done)
-    st = st + _EPS
 
-    # no clamping needed: every min/max below is against bounds already
-    # inside [0, n_pred], so out-of-range interval ends are harmless
-    if dp[0] == "window":
-        a0 = (lo + dp[1])[:, None]
-        a1 = (hi + dp[2])[:, None]
-    elif dp[0] == "all":
-        a0, a1 = 0, n_pred
-    else:  # empty
-        a0 = a1 = 0
-    overlap = (B[None, :-1] < a1) & (B[None, 1:] > a0)
-    late = overlap & (D[None, :] > st[:, None])
+    n_seg = len(seg_done)
+    kind, d_lo, d_hi, _ = dp
+    if kind == "all" and (
+        max(seg_done, default=-np.inf) <= min(b.start for b in succ_tasks) + _EPS
+    ):
+        kind = "empty"  # every task started after the last completion
+    count_inferred = ip[0] == "window"
+    same_window = ip == dp
     violations = 0
     example: tuple[int, int, float] | None = None
-    if late.any():
-        ti, si = np.nonzero(late)
-        win = dp[0] == "window"
-        hi_clip = np.minimum(B[si + 1], a1[ti, 0] if win else a1)
-        lo_clip = np.maximum(B[si], a0[ti, 0] if win else a0)
-        violations = int((hi_clip - lo_clip).sum())
-        example = (int(ti[0]), int(lo_clip[0]), float(D[si[0]]))
-
-    if ip[0] == "empty":
-        n_task_pairs = 0
-    elif ip[0] == "all":
-        # [0, n_pred) overlaps every segment of the partition
-        n_task_pairs = n_tasks * n_nonneg
-    else:
-        i0 = (lo + ip[1])[:, None]
-        i1 = (hi + ip[2])[:, None]
-        iov = (B[None, :-1] < i1) & (B[None, 1:] > i0) & nonneg[None, :]
-        n_task_pairs = int(iov.sum())
+    n_task_pairs = n_tasks * n_nonneg if ip[0] == "all" else 0
+    for i, (lo, hi) in enumerate(spans):
+        if kind != "empty":
+            # segments j0 .. j1-1 are exactly those overlapping [a0, a1)
+            a0, a1 = (lo + d_lo, hi + d_hi) if kind == "window" else (0, n_pred)
+            j0 = bisect_right(bounds, a0) - 1
+            if j0 < 0:
+                j0 = 0
+            j1 = bisect_left(bounds, a1, j0)
+            if j1 > n_seg:
+                j1 = n_seg
+            t_start = succ_tasks[i].start + _EPS
+            for j in range(j0, j1):
+                if seg_done[j] > t_start:
+                    g = bounds[j] if bounds[j] > a0 else a0
+                    violations += (bounds[j + 1] if bounds[j + 1] < a1 else a1) - g
+                    if example is None:
+                        example = (i, g, seg_done[j])
+        if count_inferred:
+            if not same_window:
+                j0 = bisect_right(bounds, lo + ip[1]) - 1
+                if j0 < 0:
+                    j0 = 0
+                j1 = bisect_left(bounds, hi + ip[2], j0)
+                if j1 > n_seg:
+                    j1 = n_seg
+            if j0 < j1:
+                n_task_pairs += done_before[j1] - done_before[j0]
     return violations, example, n_task_pairs
 
 
@@ -560,8 +562,11 @@ _PAIR_MEMO: "weakref.WeakKeyDictionary[PhaseProgram, dict]" = (
 
 def _pair_relations(
     program: PhaseProgram, pred: str, succ: str, serial: bool
-) -> tuple[PairClassification, PairClassification | None]:
-    """(declared, inferred) classifications; inferred ``None`` sans footprints."""
+) -> tuple[
+    PairClassification, PairClassification | None, GranuleRelation, GranuleRelation | None
+]:
+    """(declared, inferred) classifications and their granule relations;
+    the inferred ones are ``None`` sans footprints."""
     memo = _PAIR_MEMO.get(program)
     if memo is None:
         try:
@@ -575,12 +580,15 @@ def _pair_relations(
             return got
     pred_spec, succ_spec = program.phases[pred], program.phases[succ]
     declared = classification_of(program.mapping_between(pred, succ), pred, succ)
-    if pred_spec.access is None or succ_spec.access is None:
-        result: tuple[PairClassification, PairClassification | None] = (
-            declared, None,
-        )
-    else:
-        result = (declared, classify_pair(pred_spec, succ_spec, serial))
+    inferred = None
+    if pred_spec.access is not None and succ_spec.access is not None:
+        inferred = classify_pair(pred_spec, succ_spec, serial)
+    result = (
+        declared,
+        inferred,
+        relation_of(declared),
+        relation_of(inferred) if inferred is not None else None,
+    )
     if memo is not None:
         memo[key] = result
     return result
@@ -592,7 +600,6 @@ def _sanitize_stream(
     program: PhaseProgram,
     runs: list[_RunInfo],
     tasks_by_run: dict[int, list[ExecutedTask]],
-    stream_tasks: list[ExecutedTask],
 ) -> None:
     seq = program.phase_sequence()
     names = [r.name for r in runs]
@@ -659,11 +666,9 @@ def _sanitize_stream(
     needs_clocks = False
     for i, (pred_name, succ_name, serial) in enumerate(pairs):
         pred_info, succ_info = runs[i], runs[i + 1]
-        declared_cls, inferred_cls = _pair_relations(
+        declared_cls, inferred_cls, declared_rel, inferred_rel = _pair_relations(
             program, pred_name, succ_name, serial
         )
-        declared_rel = relation_of(declared_cls)
-        inferred_rel = relation_of(inferred_cls) if inferred_cls is not None else None
         declared_known = declared_rel.kind in ("empty", "all", "window")
         inferred_known = inferred_rel is not None and inferred_rel.kind in (
             "empty", "all", "window"
@@ -682,6 +687,9 @@ def _sanitize_stream(
     clocks: _VectorClocks | None = None
     task_by_seq: dict[int, ExecutedTask] = {}
     if needs_clocks:
+        stream_tasks = sorted(
+            (t for r in runs for t in tasks_by_run.get(r.gid, [])), key=_TASK_ORDER
+        )
         clocks = _VectorClocks(stream_tasks)
         task_by_seq = {t.seq: t for t in stream_tasks}
         for meta in pair_meta:
@@ -733,12 +741,12 @@ def _sanitize_stream(
         if covered:
             # fast path: declared ⊇ inferred for every task, so no race or
             # latent-race can exist — only the executive interlock needs
-            # checking.  One broadcast over (task, completion segment)
+            # checking.  One bisection walk over the completion segments
             # handles the whole pair; the per-task segment walk below is
-            # the fallback for shapes the broadcast cannot express.
+            # the fallback for shapes the walk cannot express.
             bounds, seg_done, seg_task = segments_for(pred_info)
             n_seg = len(seg_done)
-            fast = _vectorized_covered(
+            fast = _covered_pair(
                 succ_tasks, bounds, seg_done, seg_task,
                 declared_rel, inferred_rel, n_pred,
             )
@@ -920,13 +928,7 @@ def _sanitize(
             (r for r in runs if r.stream == stream), key=lambda r: r.index
         )
         program = programs[stream] if stream < len(programs) else programs[-1]
-        stream_tasks = sorted(
-            (t for r in stream_runs for t in tasks_by_run.get(r.gid, [])),
-            key=_TASK_ORDER,
-        )
-        _sanitize_stream(
-            report, stream, program, stream_runs, tasks_by_run, stream_tasks
-        )
+        _sanitize_stream(report, stream, program, stream_runs, tasks_by_run)
     report.findings.sort(
         key=lambda f: (0 if f.severity == "error" else 1, f.stream, f.pred, f.succ)
     )

@@ -5,9 +5,10 @@ random interval soups, including the adjacency-merge edges the
 two-pointer ``__or__`` and ``union_all`` fast paths must preserve
 (``[0,2) | [2,4)`` is the single range ``[0,4)``, never two touching
 ranges).  The canonical-form invariant — sorted, disjoint, non-adjacent,
-non-empty ranges — is re-asserted after every operation because the fast
-paths construct results through ``_from_normalized``, which skips the
-normalizing constructor.
+non-empty ranges — is re-asserted after every operation because every
+operation builds its result's bounds directly through ``_from_bounds``,
+which checks nothing.  The tests at the end pin the flat-bounds layout:
+the cached cardinality, single-range operands, hashing and pickling.
 """
 
 from __future__ import annotations
@@ -123,3 +124,106 @@ def test_union_all_trivial_cases():
     one = GranuleSet.from_ranges([(3, 7)])
     assert GranuleSet.union_all([one]) == one
     assert GranuleSet.union_all([GranuleSet.empty(), one, GranuleSet.empty()]) == one
+
+
+# ------------------------------------------------------------ flat-bounds layout
+def recount(s: GranuleSet) -> int:
+    """Cardinality summed from the bounds, independent of the cached one."""
+    return sum(stop - start for start, stop in s.spans())
+
+
+def assert_consistent(s: GranuleSet, model: set[int]) -> None:
+    """Canonical, matches the model, and the cached ``len`` is exact."""
+    assert_matches_model(s, model)
+    assert len(s) == recount(s) == len(model)
+    bounds = s.bounds
+    assert list(bounds) == [x for r in s.ranges for x in (r.start, r.stop)]
+    assert all(lo < hi for lo, hi in zip(bounds, bounds[1:]))
+
+
+def random_single(rng: np.random.Generator) -> GranuleSet:
+    """One contiguous range, sometimes empty."""
+    start = int(rng.integers(0, UNIVERSE))
+    return GranuleSet.from_ranges([(start, start + int(rng.integers(0, 40)))])
+
+
+@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("shape", ["single-soup", "soup-single", "single-single"])
+def test_single_range_operands_on_both_sides(seed, shape):
+    rng = np.random.default_rng(seed + 4000)
+    left, right = shape.split("-")
+    pick = {"single": random_single, "soup": random_set}
+    a, b = pick[left](rng), pick[right](rng)
+    ma, mb = set(a), set(b)
+    assert_consistent(a | b, ma | mb)
+    assert_consistent(a & b, ma & mb)
+    assert_consistent(a - b, ma - mb)
+    assert a.issubset(b) == ma.issubset(mb)
+    assert a.isdisjoint(b) == ma.isdisjoint(mb)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_cached_len_matches_recount_after_every_operation(seed):
+    rng = np.random.default_rng(seed + 5000)
+    a, b = random_set(rng), random_single(rng)
+    ma, mb = set(a), set(b)
+    assert_consistent(a, ma)
+    assert_consistent(b, mb)
+    assert_consistent(a | b, ma | mb)
+    assert_consistent(a & b, ma & mb)
+    assert_consistent(a - b, ma - mb)
+    assert_consistent(b - a, mb - ma)
+    assert_consistent(a.complement(UNIVERSE), set(range(UNIVERSE)) - ma)
+    assert_consistent(GranuleSet.union_all([a, b, a]), ma | mb)
+    ids = np.unique(rng.integers(0, UNIVERSE, size=int(rng.integers(0, 60))))
+    assert_consistent(GranuleSet.from_sorted_ids(ids), set(ids.tolist()))
+    for k in (0, len(a) // 2, len(a)):
+        head, rest = a.take(k)
+        assert len(head) == recount(head) and len(rest) == recount(rest)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_take_at_every_k(seed):
+    rng = np.random.default_rng(seed + 6000)
+    a = random_set(rng) if seed % 2 else random_single(rng)
+    model = sorted(a)
+    for k in range(len(model) + 2):
+        head, rest = a.take(k)
+        assert_consistent(head, set(model[:k]))
+        assert_consistent(rest, set(model[k:]))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_equal_sets_hash_equal_and_work_as_dict_keys(seed):
+    rng = np.random.default_rng(seed + 7000)
+    a = random_set(rng)
+    # the same set reached by different construction paths
+    twins = [
+        GranuleSet.from_ids(sorted(a, reverse=True)),
+        GranuleSet.from_sorted_ids(np.fromiter(a, dtype=np.int64, count=len(a))),
+        GranuleSet.union_all([a.take(len(a) // 2)[1], a.take(len(a) // 2)[0]]),
+        (a | a) & a,
+    ]
+    table = {a: "value"}
+    for t in twins:
+        assert t == a and hash(t) == hash(a)
+        assert table[t] == "value"
+    assert len({a, *twins}) == 1
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_pickle_round_trip_and_sorted_ids_equal_ranges(seed):
+    import pickle
+
+    rng = np.random.default_rng(seed + 8000)
+    a = random_set(rng)
+    back = pickle.loads(pickle.dumps(a))
+    assert back == a and len(back) == len(a) and hash(back) == hash(a)
+    ids = np.fromiter(a, dtype=np.int64, count=len(a))
+    assert GranuleSet.from_sorted_ids(ids) == GranuleSet.from_ranges(a.spans())
+
+
+@pytest.mark.parametrize("ids", [[3, 1, 2], [1, 1, 2], [0, 2, 2], [5, 4]])
+def test_from_sorted_ids_rejects_ids_that_do_not_strictly_increase(ids):
+    with pytest.raises(ValueError):
+        GranuleSet.from_sorted_ids(ids)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 from io import StringIO
 from pathlib import Path
 
@@ -27,6 +28,8 @@ from repro.lint import (
     tasks_from_spans,
     tasks_from_trace,
 )
+from repro.lint.hb import ALL_RELATION, EMPTY_RELATION, GranuleRelation
+from repro.lint.sanitizer import ExecutedTask, _covered_pair
 from repro.obs import spans_from_trace
 from repro.sim.events import format_task_label, parse_task_label
 from repro.sim.persist import save_result
@@ -284,3 +287,81 @@ class TestDifferential:
         # ...and any dynamic race implies the static race verdict
         if any(f.kind in ("race", "latent-race") for f in report.findings):
             assert not safe
+
+
+class TestCoveredPairWalk:
+    """The covered-pair segment walk agrees with a per-granule recount."""
+
+    RELATIONS = [
+        EMPTY_RELATION,
+        ALL_RELATION,
+        GranuleRelation("window", offsets=frozenset({0})),
+        GranuleRelation("window", offsets=frozenset({-1, 0, 1})),
+        GranuleRelation("window", offsets=frozenset({0, 1, 2})),
+        GranuleRelation("window", offsets=frozenset({-2, -1, 0, 1, 2})),
+    ]
+
+    @staticmethod
+    def _layout(rng, n_pred, n_succ):
+        """Random completion segments over ``[0, n_pred)`` and successor tasks."""
+        cuts = sorted(rng.sample(range(1, n_pred), rng.randint(0, n_pred - 1)))
+        bounds = [0, *cuts, n_pred]
+        seg_done, seg_task = [], []
+        for j in range(len(bounds) - 1):
+            if rng.random() < 0.2:  # never completed
+                seg_done.append(float("inf"))
+                seg_task.append(-1)
+            else:
+                seg_done.append(float(rng.randint(0, 20)))
+                seg_task.append(100 + j)
+        tasks = []
+        pos = 0
+        while pos < n_succ:
+            stop = min(n_succ, pos + rng.randint(3, 6))
+            tasks.append(ExecutedTask(
+                "q", 1, ((pos, stop),), "P0", float(rng.randint(0, 20)),
+                30.0, False, len(tasks),
+            ))
+            pos = stop
+        rng.shuffle(tasks)
+        return bounds, seg_done, seg_task, tasks
+
+    @staticmethod
+    def _recount(tasks, bounds, seg_done, seg_task, declared, inferred, n_pred):
+        done, owner = [], []
+        for j in range(len(seg_done)):
+            done += [seg_done[j]] * (bounds[j + 1] - bounds[j])
+            owner += [seg_task[j]] * (bounds[j + 1] - bounds[j])
+
+        def required(rel, lo, hi):
+            if rel.kind == "all":
+                return range(n_pred)
+            return sorted({
+                g for o in rel.offsets for g in range(lo + o, hi + o) if 0 <= g < n_pred
+            })
+
+        violations, example, pairs = 0, None, 0
+        for i, t in enumerate(tasks):
+            (lo, hi), = t.ranges
+            for g in required(declared, lo, hi):
+                if done[g] > t.start + 1e-9:
+                    violations += 1
+                    if example is None:
+                        example = (i, g, done[g])
+            pairs += len({owner[g] for g in required(inferred, lo, hi) if owner[g] >= 0})
+        return violations, example, pairs
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n_pred=st.integers(min_value=1, max_value=30),
+        n_succ=st.integers(min_value=1, max_value=30),
+        declared=st.sampled_from(range(6)),
+        inferred=st.sampled_from(range(6)),
+    )
+    def test_walk_matches_recount(self, seed, n_pred, n_succ, declared, inferred):
+        rng = random.Random(seed)
+        bounds, seg_done, seg_task, tasks = self._layout(rng, n_pred, n_succ)
+        d, i = self.RELATIONS[declared], self.RELATIONS[inferred]
+        got = _covered_pair(tasks, bounds, seg_done, seg_task, d, i, n_pred)
+        assert got == self._recount(tasks, bounds, seg_done, seg_task, d, i, n_pred)

@@ -446,3 +446,40 @@ def test_every_configuration_executes_all_granules(strategy, workers, seed):
     )
     assert r.granules_executed == 24 + 30 + 18 + 26
     assert all(s.complete_time is not None for s in r.phase_stats)
+
+
+@pytest.mark.parametrize("max_events", [None, 30])
+def test_finished_run_frees_composite_maps_without_cyclic_gc(monkeypatch, max_events):
+    """The executive lives in reference cycles; its composite maps must not.
+
+    A finished run (or one that stopped with an error) drops every
+    enablement engine, so the maps are freed by reference counting alone.
+    """
+    import gc
+    import weakref
+
+    from repro.core.enablement import CompositeGranuleMap
+    from repro.sweep.runner import build_workload
+
+    built: list[weakref.ref] = []
+    build = CompositeGranuleMap.build.__func__
+
+    def tracking_build(cls, *args, **kwargs):
+        out = build(cls, *args, **kwargs)
+        built.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(CompositeGranuleMap, "build", classmethod(tracking_build))
+    program = build_workload("reverse-indirect", {"n": 256})
+    gc.collect()
+    gc.disable()
+    try:
+        if max_events is None:
+            run_program(program, 4)
+        else:
+            with pytest.raises(RuntimeError, match="max_events"):
+                run_program(program, 4, max_events=max_events)
+        assert built, "the workload should build a composite map"
+        assert all(ref() is None for ref in built)
+    finally:
+        gc.enable()
